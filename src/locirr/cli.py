@@ -40,6 +40,7 @@ from .irregularity import EdgeColoring, verify_coloring
 from .solver import COLORED, EXCEEDED_BUDGET, NOT_DECOMPOSABLE, chi_irr
 
 OK, NEGATIVE, INPUT_ERROR, BUDGET = 0, 2, 3, 4
+BUDGET_HELP = "search nodes allowed for one whole exact solve, all k together"
 
 
 def _load_text(spec: str) -> str:
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi-irr", help="exact locally irregular chromatic index")
     p.add_argument("graph")
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     p.set_defaults(func=cmd_chi_irr)
 
     p = sub.add_parser("verify", help="check a coloring")
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
     )
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     p.add_argument("--even-side", default=None, help="comma-separated vertex ids")
     p.add_argument("--signature", default=None, help="0/1 string, one digit per vertex")
     p.add_argument("--trace", action="store_true")
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "constructive"), default="exact")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     p.add_argument("--csv", default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_campaign)

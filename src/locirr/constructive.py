@@ -17,7 +17,16 @@ from dataclasses import dataclass
 from .decompose import TWO_PATH, Decomposition, validate_decomposition
 from .graph import Graph, GraphError, fully_subdivide
 from .irregularity import EdgeColoring, verify_coloring
-from .solver import COLORED, edge_order, element_uniform_search, search_groups
+from .solver import (
+    COLORED,
+    _Budget,
+    _assignment_to_coloring,
+    backtrack,
+    central_pair_ok,
+    edge_order,
+    element_uniform_search,
+    search_groups,
+)
 
 
 # -- parity machinery ---------------------------------------------------------
@@ -100,9 +109,9 @@ def vertex_parity_color(p: ParityPair, k_max: int = 6) -> EdgeColoring:
         return EdgeColoring((), 0)
     order = edge_order(g)
     for k in range(1, k_max + 1):
-        colors = _parity_search(g, order, p.signature, k)
-        if colors is not None:
-            return EdgeColoring(tuple(colors), k)
+        col = _parity_search(g, order, p.signature, k)
+        if col is not None:
+            return col
     raise GraphError(f"no vertex-parity coloring with at most {k_max} colors")
 
 
@@ -112,7 +121,6 @@ def _parity_search(g: Graph, order, sig, k: int):
     # number of appearing colors at v whose current parity disagrees with sig;
     # each further edge at v flips one color's parity, so wrong[v] <= rem[v]
     wrong = [0] * g.n
-    ecol = [0] * g.m
 
     def bump(x, c, delta):
         before = cnt[x][c]
@@ -123,24 +131,24 @@ def _parity_search(g: Graph, order, sig, k: int):
         cnt[x][c] = after
         rem[x] -= delta
 
-    def dfs(i, max_used):
-        if i == len(order):
+    def place(i, c):
+        u, v = g.edges[order[i]]
+        bump(u, c, 1)
+        bump(v, c, 1)
+        if wrong[u] <= rem[u] and wrong[v] <= rem[v]:
             return True
-        e = order[i]
-        u, v = g.edges[e]
-        for c in range(1, min(max_used + 1, k) + 1):
-            bump(u, c, 1)
-            bump(v, c, 1)
-            if wrong[u] <= rem[u] and wrong[v] <= rem[v]:
-                ecol[e] = c
-                if dfs(i + 1, max(max_used, c)):
-                    return True
-                ecol[e] = 0
-            bump(u, c, -1)
-            bump(v, c, -1)
+        unplace(i, c)
         return False
 
-    return list(ecol) if dfs(0, 0) else None
+    def unplace(i, c):
+        u, v = g.edges[order[i]]
+        bump(u, c, -1)
+        bump(v, c, -1)
+
+    assignment, _ = backtrack(len(order), k, place, unplace)
+    if assignment is None:
+        return None
+    return _assignment_to_coloring(g, [(e,) for e in order], assignment, k)
 
 
 # -- balanced forests ---------------------------------------------------------
@@ -168,11 +176,7 @@ def color_balanced_forest_2(f: Graph, b: Bipartition) -> EdgeColoring:
     for k in (1, 2):
         assignment, _ = search_groups(f, bundles, k)
         if assignment is not None:
-            colors = [0] * f.m
-            for grp, c in zip(bundles, assignment):
-                for e in grp:
-                    colors[e] = c
-            col = EdgeColoring(tuple(colors), k)
+            col = _assignment_to_coloring(f, bundles, assignment, k)
             assert verify_coloring(f, col).valid
             return col
     raise GraphError("balanced forest refused a 2-color bundle coloring (bug)")
@@ -182,39 +186,41 @@ def color_balanced_forest_2(f: Graph, b: Bipartition) -> EdgeColoring:
 
 
 def _exact_edge_color(g: Graph, k: int, budget: int):
-    """Backtracking proper k-edge-coloring; None on refutation or budget."""
-    order = edge_order(g)
-    ecol = [0] * g.m
-    nodes = 0
+    """Backtracking proper k-edge-coloring; None on refutation or budget.
 
-    def dfs(i, max_used):
-        nonlocal nodes
-        if i == len(order):
-            return True
-        e = order[i]
-        u, v = g.edges[e]
-        taken = {ecol[f] for x in (u, v) for f, _ in g.incidence[x]}
-        for c in range(1, min(max_used + 1, k) + 1):
-            if c in taken:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _ExactBudget
-            ecol[e] = c
-            if dfs(i + 1, max(max_used, c)):
-                return True
-            ecol[e] = 0
-        return False
+    The budget counts accepted colors only.  Counting the rejected ones too
+    would shrink it on dense graphs, where most colors are taken at an edge,
+    and the search would give up on max-degree colorings it can find."""
+    order = edge_order(g)
+    ends = [g.edges[e] for e in order]
+    taken = [0] * g.n  # bit c set: color c is on an edge at the vertex
+    accepted = 0
+
+    def place(i, c):
+        nonlocal accepted
+        u, v = ends[i]
+        bit = 1 << c
+        if (taken[u] | taken[v]) & bit:
+            return False
+        accepted += 1
+        if accepted > budget:
+            raise _Budget
+        taken[u] |= bit
+        taken[v] |= bit
+        return True
+
+    def unplace(i, c):
+        u, v = ends[i]
+        taken[u] ^= 1 << c
+        taken[v] ^= 1 << c
 
     try:
-        found = dfs(0, 0)
-    except _ExactBudget:
+        assignment, _ = backtrack(len(order), k, place, unplace)
+    except _Budget:
         return None
-    return list(ecol) if found else None
-
-
-class _ExactBudget(Exception):
-    pass
+    if assignment is None:
+        return None
+    return _assignment_to_coloring(g, [(e,) for e in order], assignment, k)
 
 
 def proper_edge_color(g: Graph) -> EdgeColoring:
@@ -230,7 +236,7 @@ def proper_edge_color(g: Graph) -> EdgeColoring:
     delta = max(g.degrees)
     exact = _exact_edge_color(g, delta, budget=200_000)
     if exact is not None:
-        return EdgeColoring(tuple(exact), delta)
+        return exact
     kk = delta + 1
     ecol = [0] * g.m
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # color -> edge id
@@ -395,40 +401,17 @@ def _halves_ok(halves) -> bool:
     return total[1] not in forb[1] and total[2] not in forb[2]
 
 
-def _vertex_states_ok(base: Graph, states, v: int) -> bool:
-    halves = []
-    for e, _ in base.incidence[v]:
-        st = states[e]
-        halves.append((_half_at(base, e, v, st), st[0] == st[1]))
-    return _halves_ok(halves)
-
-
 def _csp_states(base: Graph):
-    """Complete backtracking over base-edge states; closure pruning at
-    vertices whose incident edges are all decided."""
-    order = edge_order(base)
-    states: list[tuple[int, int] | None] = [None] * base.m
-    rem = list(base.degrees)
-
-    def dfs(i):
-        if i == len(order):
-            return True
-        e = order[i]
-        u, v = base.edges[e]
-        rem[u] -= 1
-        rem[v] -= 1
-        choices = _STATES[:2] if i == 0 else _STATES  # global color swap symmetry
-        for st in choices:
-            states[e] = st
-            if all(rem[x] > 0 or _vertex_states_ok(base, states, x) for x in (u, v)):
-                if dfs(i + 1):
-                    return True
-        states[e] = None
-        rem[u] += 1
-        rem[v] += 1
-        return False
-
-    return list(states) if dfs(0) else None
+    """Complete search over base-edge states: the locally irregular 2-color
+    search on the full subdivision, one position per edge half, base edges
+    in ``edge_order``."""
+    s = fully_subdivide(base)
+    halves = [(h,) for e in edge_order(base) for h in (2 * e, 2 * e + 1)]
+    assignment, _ = search_groups(s, halves, 2)
+    if assignment is None:
+        return None
+    colors = _assignment_to_coloring(s, halves, assignment, 2).colors
+    return [(colors[2 * e], colors[2 * e + 1]) for e in range(base.m)]
 
 
 def _fundamental_cycles(base: Graph):
@@ -793,21 +776,11 @@ def color_subcubic_4(
 
     def brute(active):
         order_local = sorted(active)
-        assign: dict[int, int] = {}
-
-        def rec(pos, max_used):
-            if pos == len(order_local):
-                return dict(assign) if check(assign) else None
-            i = order_local[pos]
-            for c in range(1, min(max_used + 1, 4) + 1):
-                assign[i] = c
-                r = rec(pos + 1, max(max_used, c))
-                if r is not None:
-                    return r
-            del assign[i]
-            return None
-
-        return rec(0, 0)
+        sel = [els[i] for i in order_local]
+        assignment, _ = search_groups(
+            g, [el.edges for el in sel], 4, pair_ok=central_pair_ok(sel)
+        )
+        return None if assignment is None else dict(zip(order_local, assignment))
 
     def place(assign, p):
         inc_colors = {assign[j] for j in adj_el[p] if j in assign}

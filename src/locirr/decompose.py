@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .graph import Graph, GraphError
 
@@ -80,9 +80,15 @@ class Decomposition:
 
     @staticmethod
     def from_json(g: Graph, text: str) -> "Decomposition":
-        data = json.loads(text)
-        els = tuple(Element.from_edges(g, tuple(item["edges"])) for item in data["elements"])
-        return Decomposition(els, g)
+        try:
+            data = json.loads(text)
+            items = [tuple(int(e) for e in item["edges"]) for item in data["elements"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"bad decomposition JSON: {exc}") from exc
+        for edges in items:
+            if any(not 0 <= e < g.m for e in edges):
+                raise GraphError(f"element {edges} names an edge outside 0..{g.m - 1}")
+        return Decomposition(tuple(Element.from_edges(g, edges) for edges in items), g)
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,16 @@ def _edge_components(g: Graph, eids) -> list[list[int]]:
     return comps
 
 
+def _incidence(g: Graph, comp: list[int]) -> dict[int, list[tuple[int, int]]]:
+    """(edge, other endpoint) pairs at each vertex touched by an edge set."""
+    inc: dict[int, list[tuple[int, int]]] = {}
+    for e in comp:
+        u, v = g.edges[e]
+        inc.setdefault(u, []).append((e, v))
+        inc.setdefault(v, []).append((e, u))
+    return inc
+
+
 def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
     """Pair a connected even-size edge set into 2-paths.
 
@@ -128,12 +144,7 @@ def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
     tree edge.
     """
     assert len(comp) % 2 == 0
-    in_comp = set(comp)
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for e in comp:
-        u, v = g.edges[e]
-        inc.setdefault(u, []).append((e, v))
-        inc.setdefault(v, []).append((e, u))
+    inc = _incidence(g, comp)
     root = min(inc)
     parent_edge: dict[int, int] = {}
     order = [root]
@@ -161,7 +172,7 @@ def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
             a = avail.pop()
             used.update((a, pe))
             pairs.append(tuple(sorted((a, pe))))
-    assert used == in_comp
+    assert used == set(comp)
     return sorted(pairs)
 
 
@@ -184,12 +195,7 @@ def two_path_decomposition(g: Graph) -> Decomposition:
 
 def _claw_placements(g: Graph, comp: list[int]):
     """K_{1,3} edge triples within an edge set, ascending (center, leaves)."""
-    in_comp = set(comp)
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for e in comp:
-        u, v = g.edges[e]
-        inc.setdefault(u, []).append((e, v))
-        inc.setdefault(v, []).append((e, u))
+    inc = _incidence(g, comp)
     for center in sorted(inc):
         if len(inc[center]) < 3:
             continue
@@ -201,12 +207,7 @@ def _claw_placements(g: Graph, comp: list[int]):
 
 def _subdivided_claw_placements(g: Graph, comp: list[int]):
     """K_{1,3}'' edge quintuples within an edge set, deterministic order."""
-    in_comp = set(comp)
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for e in comp:
-        u, v = g.edges[e]
-        inc.setdefault(u, []).append((e, v))
-        inc.setdefault(v, []).append((e, u))
+    inc = _incidence(g, comp)
     seen = set()
     for center in sorted(inc):
         if len(inc[center]) < 3:
@@ -235,52 +236,36 @@ def _component_colorable(g: Graph, elements: list[Element], node_budget: int = 5
     """Can these elements be colored uniformly with at most 4 colors, locally
     irregular, with same-colored incident elements meeting only at vertices
     central for one of them?  Budgeted; an overrun counts as colorable."""
-    from .solver import _Budget, search_groups
+    from .solver import _Budget, central_pair_ok, search_groups
 
     groups = [tuple(el.edges) for el in elements]
-    pair_ok = {}
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            shared = set(elements[i].vertices) & set(elements[j].vertices)
-            if shared:
-                pair_ok[(i, j)] = all(
-                    v in elements[i].central_vertices or v in elements[j].central_vertices
-                    for v in shared
-                )
     try:
-        assignment, _ = search_groups(g, groups, 4, pair_ok=pair_ok, node_budget=node_budget)
+        assignment, _ = search_groups(
+            g, groups, 4, pair_ok=central_pair_ok(elements), node_budget=node_budget
+        )
     except _Budget:
         return True
     return assignment is not None
 
 
-def _two_path_pairings(g: Graph, comp: list[int], limit: int | None = None):
-    """All partitions of a connected even edge set into 2-paths, lazily."""
-    count = 0
-
-    def rec(unused: list[int], acc: list[tuple[int, int]]):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if not unused:
-            count += 1
-            yield list(acc)
-            return
-        e = unused[0]
-        u, v = g.edges[e]
-        rest = unused[1:]
-        for f in rest:
-            x, y = g.edges[f]
-            if x in (u, v) or y in (u, v):
-                try:
-                    Element.from_edges(g, (e, f))
-                except DecompositionError:
-                    continue
-                acc.append((e, f))
-                yield from rec([h for h in rest if h != f], acc)
-                acc.pop()
-
-    yield from rec(sorted(comp), [])
+def _two_path_partitions(g: Graph, unused: list[int]):
+    """All partitions of a sorted edge list into 2-paths, as lists of edge
+    pairs, lazily, in deterministic order."""
+    if not unused:
+        yield []
+        return
+    e = unused[0]
+    u, v = g.edges[e]
+    rest = unused[1:]
+    for f in rest:
+        x, y = g.edges[f]
+        if x in (u, v) or y in (u, v):
+            try:
+                Element.from_edges(g, (e, f))
+            except DecompositionError:
+                continue
+            for tail in _two_path_partitions(g, [h for h in rest if h != f]):
+                yield [(e, f)] + tail
 
 
 def _even_component_elements(g: Graph, comp: list[int]) -> list[Element]:
@@ -293,7 +278,7 @@ def _even_component_elements(g: Graph, comp: list[int]) -> list[Element]:
     default = [Element.from_edges(g, pr) for pr in _pair_component(g, comp)]
     if _component_colorable(g, default):
         return default
-    for pairs in _two_path_pairings(g, comp, limit=20_000):
+    for pairs in islice(_two_path_partitions(g, sorted(comp)), 20_000):
         els = [Element.from_edges(g, pr) for pr in pairs]
         if _component_colorable(g, els):
             return els
@@ -443,24 +428,6 @@ def enumerate_two_path_decompositions(g: Graph):
         if len(comp) % 2:
             raise DecompositionError("odd-size component admits no 2-path decomposition")
 
-    def rec(unused: list[int], acc: list[tuple[int, int]]):
-        if not unused:
-            yield list(acc)
-            return
-        e = unused[0]
-        u, v = g.edges[e]
-        rest = unused[1:]
-        for f in rest:
-            x, y = g.edges[f]
-            if x in (u, v) or y in (u, v):
-                try:
-                    Element.from_edges(g, (e, f))
-                except DecompositionError:
-                    continue
-                acc.append((e, f))
-                yield from rec([h for h in rest if h != f], acc)
-                acc.pop()
-
-    for pairs in rec(list(range(g.m)), []):
+    for pairs in _two_path_partitions(g, list(range(g.m))):
         els = tuple(Element.from_edges(g, pr) for pr in pairs)
         yield Decomposition(els, g)

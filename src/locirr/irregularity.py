@@ -30,8 +30,12 @@ class EdgeColoring:
 
     @staticmethod
     def from_json(text: str) -> "EdgeColoring":
-        data = json.loads(text)
-        return EdgeColoring(tuple(int(c) for c in data["colors"]), int(data["k"]))
+        try:
+            data = json.loads(text)
+            colors, k = tuple(int(c) for c in data["colors"]), int(data["k"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"bad coloring JSON: {exc}") from exc
+        return EdgeColoring(colors, k)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
 """Exact search for locally irregular edge-colorings.
 
-One backtracking engine drives everything: variables are *groups* of edges
-(single edges for chi_irr, whole decomposition elements for element-uniform
-search, vertex bundles for the balanced-forest colorer).  Pruning is by
-closure: once every active edge at both endpoints of an edge is colored, the
-equal-degree test for that edge is final and can cut the branch.
+One explicit-stack engine, ``backtrack``, runs every exact search in the
+package: it assigns colors to positions in canonical color order through
+caller-supplied ``place``/``unplace`` hooks, counts one node per placement
+attempt, and raises ``_Budget`` past the node budget.  ``search_groups`` puts
+the locally irregular coloring search on top of it: positions are *groups* of
+edges (single edges for chi_irr, whole decomposition elements for
+element-uniform search, vertex bundles for the balanced-forest colorer, edge
+halves for the subdivision colorer).  Pruning is by closure: once every
+active edge at both endpoints of an edge is colored, the equal-degree test
+for that edge is final and can cut the branch.  The parity and proper
+edge-coloring searches in ``constructive`` use the engine with their own
+hooks.  A node budget given to ``chi_irr`` or ``element_uniform_search``
+covers the whole call, all k together.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ class SolveResult:
 
 
 class _Budget(Exception):
-    pass
+    """Raised by ``backtrack`` once its node count passes the budget."""
 
 
 def edge_order(g: Graph, eids=None) -> list[int]:
@@ -42,122 +50,132 @@ def edge_order(g: Graph, eids=None) -> list[int]:
     return sorted(eids, key=lambda e: (-(deg[g.edges[e][0]] + deg[g.edges[e][1]]), e))
 
 
+def backtrack(n: int, k: int, place, unplace, node_budget: int | None = None):
+    """Assign colors 1..k to positions 0..n-1 by depth-first search on an
+    explicit stack, in canonical color order: colors are tried in increasing
+    order, and a position may open at most one color beyond those used before
+    it, so no two assignments differ only by renaming colors.
+
+    ``place(i, c)`` says whether color c fits position i after positions
+    0..i-1, and leaves no trace when it says no; ``unplace(i, c)`` undoes an
+    accepted placement.  Each ``place`` call counts one node; _Budget is
+    raised once the count passes ``node_budget``.  Returns
+    (assignment | None, nodes).
+    """
+    cap = float("inf") if node_budget is None else node_budget
+    assign = [0] * n
+    top = [0] * (n + 1)  # top[i]: highest color used by positions before i
+    nodes = 0
+    i = 0
+    while i < n:
+        c = assign[i]
+        if c:
+            unplace(i, c)
+        hi = min(top[i] + 1, k)
+        while c < hi:
+            c += 1
+            nodes += 1
+            if nodes > cap:
+                raise _Budget
+            if place(i, c):
+                assign[i] = c
+                top[i + 1] = max(top[i], c)
+                i += 1
+                break
+        else:
+            assign[i] = 0
+            if i == 0:
+                return None, nodes
+            i -= 1
+    return assign, nodes
+
+
 def search_groups(
     g: Graph,
     groups: list[tuple[int, ...]],
     k: int,
     pair_ok: dict[tuple[int, int], bool] | None = None,
     node_budget: int | None = None,
-    fixed: dict[int, int] | None = None,
 ):
     """Find a coloring with colors 1..k constant on each group, every color
     class locally irregular on the union of the groups' edges.
 
     ``pair_ok[(i, j)]`` (i < j, incident groups) says whether groups i and j
-    may share a color.  ``fixed`` pins group indices to colors (disables the
-    canonical color-order symmetry breaking).  Returns (assignment | None,
-    nodes); raises _Budget when the node budget runs out.
+    may share a color.  Returns (assignment | None, nodes) from ``backtrack``;
+    raises _Budget when the node budget runs out.
     """
+    edges = g.edges
     active = [e for grp in groups for e in grp]
     rem = [0] * g.n
     for e in active:
-        u, v = g.edges[e]
+        u, v = edges[e]
         rem[u] += 1
         rem[v] += 1
     cnt = [[0] * (k + 1) for _ in range(g.n)]
     ecolor = [0] * g.m
-    marks = _marks(g.m, active)
+    marks = [False] * g.m
+    for e in active:
+        marks[e] = True
     inc_active = [
         tuple((e, u) for e, u in g.incidence[v] if marks[e]) for v in range(g.n)
     ]
-    # incident earlier groups for the pair rule
-    later_checks: list[list[tuple[int, bool]]] = [[] for _ in groups]
+    # pair rule: first edges of the incident earlier groups that may not
+    # share this group's color
+    barred: list[tuple[int, ...]] = [()] * len(groups)
     if pair_ok is not None:
-        vert_of = [set() for _ in groups]
-        for i, grp in enumerate(groups):
-            for e in grp:
-                vert_of[i].update(g.edges[e])
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if vert_of[i] & vert_of[j]:
-                    later_checks[j].append((i, pair_ok.get((i, j), True)))
+        vert_of = [{v for e in grp for v in edges[e]} for grp in groups]
+        for j in range(len(groups)):
+            barred[j] = tuple(
+                groups[i][0]
+                for i in range(j)
+                if vert_of[i] & vert_of[j] and not pair_ok.get((i, j), True)
+            )
 
-    assign = [0] * len(groups)
-    nodes = 0
-
-    def place(gi: int, c: int) -> list[int] | None:
-        """Color group gi with c; return completed-vertex list or None on conflict."""
-        done = []
+    def place(gi: int, c: int) -> bool:
+        for f in barred[gi]:
+            if ecolor[f] == c:
+                return False
         grp = groups[gi]
         for e in grp:
             ecolor[e] = c
-            for v in g.edges[e]:
+            for v in edges[e]:
                 cnt[v][c] += 1
                 rem[v] -= 1
+        # closure: an edge whose endpoints are both complete is final
         for e in grp:
-            for v in g.edges[e]:
+            for v in edges[e]:
                 if rem[v] == 0:
-                    done.append(v)
-        ok = True
-        for v in set(done):
-            for e, u in inc_active[v]:
-                if rem[u] == 0 and ecolor[e]:
-                    ce = ecolor[e]
-                    if cnt[v][ce] == cnt[u][ce]:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            return done
-        unplace(gi, c)
-        return None
+                    cv = cnt[v]
+                    for f, u in inc_active[v]:
+                        if rem[u] == 0 and cv[ecolor[f]] == cnt[u][ecolor[f]]:
+                            unplace(gi, c)
+                            return False
+        return True
 
     def unplace(gi: int, c: int):
         for e in groups[gi]:
             ecolor[e] = 0
-            for v in g.edges[e]:
+            for v in edges[e]:
                 cnt[v][c] -= 1
                 rem[v] += 1
 
-    def dfs(gi: int, max_used: int) -> bool:
-        nonlocal nodes
-        if gi == len(groups):
-            return True
-        if fixed is not None and gi in fixed:
-            choices = [fixed[gi]]
-        else:
-            choices = range(1, min(max_used + 1, k) + 1)
-        for c in choices:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise _Budget
-            if pair_ok is not None:
-                bad = False
-                for i, ok_same in later_checks[gi]:
-                    if assign[i] == c and not ok_same:
-                        bad = True
-                        break
-                if bad:
-                    continue
-            if place(gi, c) is None:
-                continue
-            assign[gi] = c
-            if dfs(gi + 1, max(max_used, c)):
-                return True
-            assign[gi] = 0
-            unplace(gi, c)
-        return False
-
-    found = dfs(0, 0)
-    return (list(assign) if found else None), nodes
+    return backtrack(len(groups), k, place, unplace, node_budget)
 
 
-def _marks(m: int, active) -> list[bool]:
-    marks = [False] * m
-    for e in active:
-        marks[e] = True
-    return marks
+def central_pair_ok(elements) -> dict[tuple[int, int], bool]:
+    """The central-vertex pair rule as ``pair_ok`` for ``search_groups`` over
+    decomposition elements, indexed in list order: two incident elements may
+    share a color only if every vertex they share is central for one of them."""
+    pair_ok = {}
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            ei, ej = elements[i], elements[j]
+            shared = set(ei.vertices) & set(ej.vertices)
+            if shared:
+                pair_ok[(i, j)] = all(
+                    v in ei.central_vertices or v in ej.central_vertices for v in shared
+                )
+    return pair_ok
 
 
 def _assignment_to_coloring(g: Graph, groups, assignment, k) -> EdgeColoring:
@@ -168,8 +186,32 @@ def _assignment_to_coloring(g: Graph, groups, assignment, k) -> EdgeColoring:
     return EdgeColoring(tuple(colors), k)
 
 
+def _search_levels(
+    g: Graph, groups, k_max: int, pair_ok, node_budget: int | None, exhausted: str
+) -> SolveResult:
+    """Search k = 1..k_max in order; ``node_budget`` covers all levels
+    together.  Every level refuted gives status ``exhausted``."""
+    start = time.perf_counter()
+    spent = 0
+    for k in range(1, k_max + 1):
+        left = None if node_budget is None else node_budget - spent
+        try:
+            assignment, nodes = search_groups(g, groups, k, pair_ok=pair_ok, node_budget=left)
+        except _Budget:
+            # the overrunning level counted left + 1 nodes before raising
+            elapsed = time.perf_counter() - start
+            return SolveResult(EXCEEDED_BUDGET, None, None, node_budget + 1, elapsed)
+        spent += nodes
+        if assignment is not None:
+            col = _assignment_to_coloring(g, groups, assignment, k)
+            assert verify_coloring(g, col).valid
+            return SolveResult(COLORED, k, col, spent, time.perf_counter() - start)
+    return SolveResult(exhausted, None, None, spent, time.perf_counter() - start)
+
+
 def chi_irr(g: Graph, k_max: int, node_budget: int | None = None) -> SolveResult:
-    """Exact locally irregular chromatic index, searching k = 1..k_max in order."""
+    """Exact locally irregular chromatic index, searching k = 1..k_max in
+    order; ``node_budget`` bounds the nodes of the whole call."""
     if k_max < 1:
         raise GraphError("k_max must be at least 1")
     start = time.perf_counter()
@@ -178,20 +220,9 @@ def chi_irr(g: Graph, k_max: int, node_budget: int | None = None) -> SolveResult
     # every nonempty locally irregular class has >= 2 edges, so floor(m/2)
     # colors always suffice when any coloring exists at all
     bound = g.m // 2
-    total = 0
     groups = [(e,) for e in edge_order(g)]
-    for k in range(1, min(k_max, bound) + 1):
-        try:
-            assignment, nodes = search_groups(g, groups, k, node_budget=node_budget)
-        except _Budget:
-            return SolveResult(EXCEEDED_BUDGET, None, None, total, time.perf_counter() - start)
-        total += nodes
-        if assignment is not None:
-            col = _assignment_to_coloring(g, groups, assignment, k)
-            assert verify_coloring(g, col).valid
-            return SolveResult(COLORED, k, col, total, time.perf_counter() - start)
-    status = NOT_DECOMPOSABLE if k_max >= bound else REFUTED
-    return SolveResult(status, None, None, total, time.perf_counter() - start)
+    exhausted = NOT_DECOMPOSABLE if k_max >= bound else REFUTED
+    return _search_levels(g, groups, min(k_max, bound), None, node_budget, exhausted)
 
 
 @dataclass(frozen=True)
@@ -223,37 +254,16 @@ def element_uniform_search(
     """Search colorings constant on each decomposition element.
 
     With ``enforce_property_ii``, two incident elements may share a color only
-    if every vertex they share is central for one of them.
+    if every vertex they share is central for one of them.  ``node_budget``
+    bounds the nodes of the whole call.
     """
     from .decompose import validate_decomposition
 
     report = validate_decomposition(g, d, mode="any")
     if not report.valid:
         raise GraphError(f"invalid decomposition: {report.failures[0]}")
-    start = time.perf_counter()
     rank = {e: i for i, e in enumerate(edge_order(g))}
     order = sorted(range(len(d.elements)), key=lambda i: min(rank[e] for e in d.elements[i].edges))
     groups = [tuple(d.elements[i].edges) for i in order]
-    pair_ok = None
-    if enforce_property_ii:
-        pair_ok = {}
-        for a in range(len(order)):
-            for b in range(a + 1, len(order)):
-                ea, eb = d.elements[order[a]], d.elements[order[b]]
-                shared = set(ea.vertices) & set(eb.vertices)
-                if shared:
-                    pair_ok[(a, b)] = all(
-                        v in ea.central_vertices or v in eb.central_vertices for v in shared
-                    )
-    total = 0
-    for k in range(1, k_max + 1):
-        try:
-            assignment, nodes = search_groups(g, groups, k, pair_ok=pair_ok, node_budget=node_budget)
-        except _Budget:
-            return SolveResult(EXCEEDED_BUDGET, None, None, total, time.perf_counter() - start)
-        total += nodes
-        if assignment is not None:
-            col = _assignment_to_coloring(g, groups, assignment, k)
-            assert verify_coloring(g, col).valid
-            return SolveResult(COLORED, k, col, total, time.perf_counter() - start)
-    return SolveResult(REFUTED, None, None, total, time.perf_counter() - start)
+    pair_ok = central_pair_ok([d.elements[i] for i in order]) if enforce_property_ii else None
+    return _search_levels(g, groups, k_max, pair_ok, node_budget, REFUTED)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from locirr.cli import main
 from locirr.dot import export_dot
 from locirr.graph import Graph, complete_graph, cycle_graph, parse_graph6, write_graph6
@@ -83,6 +85,19 @@ class TestPipelines:
     def test_color_parity_needs_signature(self, capsys):
         code, _, err = run(capsys, "color", "C~", "--method", "parity")
         assert code == 3 and "--signature" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "C~", '{"k": 3}'),
+            ("verify", "C~", "notjson"),
+            ("export-dot", "C~", "--decomposition", "<bad json>"),
+            ("export-dot", "C~", "--decomposition", '{"elements": [{"edges": [0, 9]}]}'),
+        ],
+    )
+    def test_malformed_json_is_input_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "error:" in err
 
     def test_decompose_odd_cycle(self, capsys):
         code, out, _ = run(capsys, "decompose", "DUW", "--mode", "2path")

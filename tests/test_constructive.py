@@ -9,6 +9,7 @@ from locirr.constructive import (
     Bipartition,
     ParityPair,
     SubcubicStats,
+    _csp_states,
     color_balanced_4,
     color_balanced_forest_2,
     color_fully_subdivided_2,
@@ -104,6 +105,12 @@ class TestVertexParity:
                 limit = 4 if sum(sig) != 3 else 6
                 assert col.k <= limit
 
+    def test_long_path_past_recursion_limit(self):
+        g = path_graph(2000)
+        sig = tuple(d % 2 for d in g.degrees)
+        col = vertex_parity_color(ParityPair(g, sig))
+        assert oracles.parity_table_ok(g, col.colors, sig)
+
     def test_minimality(self):
         # C6 with alternating signature needs more than one color
         g = cycle_graph(6)
@@ -173,6 +180,13 @@ class TestProperEdgeColoring:
     def test_cube_class_one(self):
         assert proper_edge_color(cube_graph()).k == 3
 
+    def test_long_cycle_past_recursion_limit(self):
+        g = cycle_graph(2000)
+        col = proper_edge_color(g)
+        assert col.k == 2
+        for v in range(g.n):
+            assert len({col.colors[e] for e, _ in g.incidence[v]}) == 2
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_proper_within_vizing(self, rng):
@@ -241,6 +255,17 @@ class TestFullySubdivided2:
 
     def test_path(self):
         self.check(path_graph(3), expect_k=2)
+
+    def test_long_path_past_recursion_limit(self):
+        self.check(path_graph(1500))
+
+    def test_complete_search_fallback(self):
+        # the exhaustive state search behind the cycle-extension route
+        for base in (complete_graph(4), Graph(2, ((0, 1),) * 3, multigraph=True)):
+            states = _csp_states(base)
+            colors = tuple(c for st in states for c in st)
+            col = EdgeColoring(colors, max(colors))
+            assert verify_coloring(fully_subdivide(base), col).valid
 
     def test_multigraph_bases(self):
         two_cycle = Graph(2, ((0, 1), (0, 1)), multigraph=True)

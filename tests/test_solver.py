@@ -56,6 +56,24 @@ class TestChiIrr:
         assert res.status == EXCEEDED_BUDGET
         assert res.k is None and res.coloring is None
 
+    def test_budget_reports_nodes_spent(self):
+        # the budget runs out partway through a level; every node counts
+        res = chi_irr(complete_graph(7), 10, node_budget=100_000)
+        assert res.status == EXCEEDED_BUDGET
+        assert res.nodes >= 100_000
+
+    def test_budget_covers_whole_call(self):
+        # C6 spends 3, 19 and 15 nodes on k = 1, 2, 3: each level fits in 20
+        # nodes on its own, the three together do not
+        assert chi_irr(cycle_graph(6), 3).nodes == 37
+        assert chi_irr(cycle_graph(6), 3, node_budget=37).status == COLORED
+        assert chi_irr(cycle_graph(6), 3, node_budget=20).status == EXCEEDED_BUDGET
+
+    def test_long_path_past_recursion_limit(self):
+        g = path_graph(1200)
+        res = chi_irr(g, 2)
+        assert res.status == COLORED and verify_coloring(g, res.coloring).valid
+
     def test_monotone_witness(self, connected_small):
         for g in connected_small:
             if g.m == 0 or g.m > 8:
