@@ -45,8 +45,11 @@ BUDGET_HELP = "search nodes allowed for one whole exact solve, all k together"
 
 def _load_text(spec: str) -> str:
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return fh.read()
+        try:
+            with open(spec) as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphError(f"cannot read {spec!r}: {exc}") from exc
     return spec
 
 
@@ -73,9 +76,17 @@ def _load_coloring(spec: str) -> EdgeColoring:
 
 
 def _parse_vertex_set(text: str) -> frozenset[int]:
-    if not text.strip():
-        return frozenset()
-    return frozenset(int(x) for x in text.replace(",", " ").split())
+    try:
+        return frozenset(int(x) for x in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise GraphError(f"bad vertex id list {text!r}: {exc}") from exc
+
+
+def _parse_signature(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(ch) for ch in text.strip())
+    except ValueError as exc:
+        raise GraphError(f"bad --signature {text!r}: {exc}") from exc
 
 
 def cmd_chi_irr(args) -> int:
@@ -170,7 +181,7 @@ def cmd_color(args) -> int:
     if method == "parity":
         if args.signature is None:
             raise GraphError("--signature is required for parity")
-        sig = tuple(int(ch) for ch in args.signature.strip())
+        sig = _parse_signature(args.signature)
         k_max = args.k_max if args.k_max is not None else 6
         col = vertex_parity_color(ParityPair(g, sig), k_max)
         print(col.to_json())

@@ -1,8 +1,9 @@
 """Isomorphism-free enumeration of small graphs.
 
 Connected graphs are built one vertex at a time (every prefix connected),
-with degree-target pruning for the cubic/subcubic families and duplicate
-rejection via a walk-profile invariant plus canonical adjacency confirmation.
+with degree-target pruning for the cubic/subcubic families.  Duplicates are
+never made: a child is kept only when its new vertex is the canonically
+chosen one to delete (McKay's canonical construction path).
 """
 
 from __future__ import annotations
@@ -53,20 +54,6 @@ SUBCUBIC_MIN2 = GraphClassFilter(max_degree=3, min_degree=2, connected=True)
 SUBCUBIC = GraphClassFilter(max_degree=3, connected=True)
 
 
-def _invariant(masks: tuple[int, ...]):
-    """Cheap isomorphism invariant: per-vertex degree/triangle/4-walk profile."""
-    n = len(masks)
-    degs = [m.bit_count() for m in masks]
-    a2 = [[(masks[u] & masks[v]).bit_count() for v in range(n)] for u in range(n)]
-    prof = []
-    for v in range(n):
-        nbrs = [u for u in range(n) if masks[v] >> u & 1]
-        tri = sum(a2[v][u] for u in nbrs)
-        w4 = sum(x * x for x in a2[v]) + degs[v] * degs[v]
-        prof.append((degs[v], tri, w4, tuple(sorted(degs[u] for u in nbrs))))
-    return (n, sum(degs) // 2, tuple(sorted(prof)))
-
-
 def _is_bipartite_masks(masks) -> bool:
     n = len(masks)
     side = [-1] * n
@@ -88,31 +75,6 @@ def _is_bipartite_masks(masks) -> bool:
                 elif side[u] == side[v]:
                     return False
     return True
-
-
-class _Dedup:
-    """Invariant-bucketed store; canonical forms computed only on collisions."""
-
-    def __init__(self):
-        self.table: dict = {}
-        self.items: list[tuple[int, ...]] = []
-
-    def add(self, masks: tuple[int, ...]) -> bool:
-        inv = _invariant(masks)
-        bucket = self.table.get(inv)
-        if bucket is None:
-            self.table[inv] = [[masks, None]]
-            self.items.append(masks)
-            return True
-        canon = canon_adjacency(masks)
-        for entry in bucket:
-            if entry[1] is None:
-                entry[1] = canon_adjacency(entry[0])
-            if entry[1] == canon:
-                return False
-        bucket.append([masks, canon])
-        self.items.append(masks)
-        return True
 
 
 def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
@@ -150,22 +112,76 @@ def _twin_classes(masks, eligible):
     return [sorted(g) for g in groups.values() if len(g) > 1]
 
 
+def _connected_without(masks, v: int) -> bool:
+    """Is the graph still connected after deleting vertex v?"""
+    rest = (1 << len(masks)) - 1 & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest
+
+
+def _canonical_child(child, degs) -> tuple[int, ...] | None:
+    """Canonical key of ``child`` (degrees ``degs``) if its last vertex k
+    was added canonically.
+
+    The canonical vertex to delete is chosen among the non-cut vertices:
+    first by the largest (degree, sorted neighbor degrees), then by the
+    largest orbit id of ``canon_adjacency``.  The child is accepted iff k
+    lies in that orbit; None means rejected.
+    """
+    k = len(child) - 1
+
+    def profile(v):
+        mv, nd = child[v], []
+        while mv:
+            low = mv & -mv
+            nd.append(degs[low.bit_length() - 1])
+            mv ^= low
+        return degs[v], sorted(nd)
+
+    mine = profile(k)
+    ties = []
+    for v in range(k):
+        p = profile(v)
+        if p >= mine and _connected_without(child, v):
+            if p > mine:
+                return None
+            ties.append(v)
+    key, orbit = canon_adjacency(child)
+    if any(orbit[v] > orbit[k] for v in ties):
+        return None
+    return key
+
+
 def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bool):
     """All connected graphs on exactly n vertices with final degrees in [lo, hi]
-    (lo/regular enforced by the caller at the last level), as mask tuples."""
+    (lo/regular enforced by the caller at the last level), as mask tuples.
+
+    Canonical construction path (McKay 1998): every graph is built from its
+    canonical parent only, the graph minus its canonical non-cut vertex, so
+    no table spans parents; one set of keys per parent drops children that
+    the parent's automorphisms make equal."""
     if n < 1:
         return []
     level: list[tuple[int, ...]] = [(0,)]
     if not _prune(level[0], [0], n, lo, hi, regular):
         level = []
     for k in range(1, n):
-        dedup = _Dedup()
+        kept: list[tuple[int, ...]] = []
         for masks in level:
             degs = [m.bit_count() for m in masks]
             eligible = [v for v in range(k) if degs[v] < hi]
             if not eligible:
                 continue
             twins = _twin_classes(masks, eligible)
+            keys: set[tuple[int, ...]] = set()
             max_d = min(hi, len(eligible))
             for d in range(1, max_d + 1):
                 for subset in combinations(eligible, d):
@@ -189,8 +205,11 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
                         continue
                     if bipartite_only and not _is_bipartite_masks(child):
                         continue
-                    dedup.add(tuple(child))
-        level = dedup.items
+                    key = _canonical_child(child, cdegs)
+                    if key is not None and key not in keys:
+                        keys.add(key)
+                        kept.append(tuple(child))
+        level = kept
     return level
 
 

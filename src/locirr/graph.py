@@ -319,72 +319,61 @@ def write_graph6(g: Graph) -> str:
 # -- canonical labeling ------------------------------------------------------
 
 
-def _refine_masks(masks: Sequence[int], colors: list[int]) -> list[int]:
-    """Stable color refinement by per-class neighbor counts (bitmask based)."""
-    n = len(masks)
-    while True:
-        class_masks: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            class_masks[c] = class_masks.get(c, 0) | 1 << v
-        cms = [class_masks[c] for c in sorted(class_masks)]
-        sigs = [
-            (colors[v], tuple((masks[v] & cm).bit_count() for cm in cms)) for v in range(n)
-        ]
-        lookup = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [lookup[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """Coarsest stable refinement of ``colors``, renumbered 0, 1, 2, ...
+
+    A vertex's signature is its own color plus the sorted colors of its
+    neighbors; colors are renumbered by signature rank until the number of
+    classes stops growing.  Ranks depend only on the signatures, so the
+    result commutes with relabeling the vertices.
+    """
+    n = len(nbrs)
+    classes = len(set(colors))
+    while classes < n:
+        sigs = [(colors[v], *sorted([colors[u] for u in nv])) for v, nv in enumerate(nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+    return colors
 
 
-def canon_adjacency(masks: Sequence[int]) -> tuple[int, ...]:
-    """Canonically relabeled adjacency masks: equal iff isomorphic.
+def canon_adjacency(masks: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical adjacency and automorphism orbits of a graph given by masks.
 
-    Individualization-refinement search over the minimum relabeled adjacency.
+    Individualization-refinement over an explicit stack, visiting every leaf
+    (no automorphism pruning).  Returns ``(key, orbit)``: ``key`` is the
+    least relabeled adjacency over all leaves, equal for two graphs iff they
+    are isomorphic.  The leaves reaching ``key`` are one coset of the
+    automorphism group, so ``orbit[v]``, the smallest position ``v`` takes
+    at those leaves, is shared exactly by the vertices of ``v``'s orbit.
     """
     n = len(masks)
-    if n == 0:
-        return ()
+    nbrs = [[u for u in range(n) if mv >> u & 1] for mv in masks]
     best: tuple[int, ...] | None = None
-
-    def rec(colors: list[int]):
-        nonlocal best
-        colors = _refine_masks(masks, colors)
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = None
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
-        if target is None:
-            perm = sorted(range(n), key=colors.__getitem__)
-            pos = [0] * n
-            for i, v in enumerate(perm):
-                pos[v] = i
-            key = []
-            for i in range(n):
-                mv = masks[perm[i]]
-                out = 0
-                while mv:
-                    low = mv & -mv
-                    out |= 1 << pos[low.bit_length() - 1]
-                    mv ^= low
-                key.append(out)
-            tkey = tuple(key)
-            if best is None or tkey < best:
-                best = tkey
-            return
-        for v in range(n):
-            if colors[v] == target:
-                child = [c * 2 + 1 for c in colors]
-                child[v] -= 1
-                rec(child)
-
-    rec([0] * n)
+    orbit: list[int] = []
+    stack = [[0] * n]
+    while stack:
+        colors = _refine(nbrs, stack.pop())
+        if len(set(colors)) < n:
+            # branch on each vertex of the first cell with two or more vertices
+            target = next(c for c in range(n) if colors.count(c) > 1)
+            for v in range(n - 1, -1, -1):
+                if colors[v] == target:
+                    child = [c + (c >= target) for c in colors]
+                    child[v] = target
+                    stack.append(child)
+            continue
+        # at a leaf the colors are the positions 0..n-1
+        perm = sorted(range(n), key=colors.__getitem__)
+        key = tuple([sum([1 << colors[u] for u in nbrs[v]]) for v in perm])
+        if best is None or key < best:
+            best, orbit = key, colors
+        elif key == best:
+            orbit = [min(a, b) for a, b in zip(orbit, colors)]
     assert best is not None
-    return best
+    return best, tuple(orbit)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -393,7 +382,7 @@ def canonical_form(g: Graph) -> bytes:
         raise GraphError("canonical_form requires a simple graph")
     if g.n > 255:
         raise GraphError("canonical_form supports n <= 255")
-    canon = canon_adjacency(g.adjacency_masks)
+    canon = canon_adjacency(g.adjacency_masks)[0]
     out = bytearray([g.n])
     for v in range(g.n):
         mv = canon[v]

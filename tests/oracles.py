@@ -85,6 +85,40 @@ def count_classes_naive(graphs) -> int:
     return len(reps)
 
 
+def automorphism_orbits(g: Graph) -> set[frozenset[int]]:
+    """Vertex orbits of the automorphism group, from every VF2 self-map."""
+    h = to_nx(g)
+    orbit = {v: {v} for v in range(g.n)}
+    for m in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+        for v, w in m.items():
+            orbit[v].add(w)
+    return {frozenset(o) for o in orbit.values()}
+
+
+def atlas(n: int) -> list[nx.Graph]:
+    """networkx's graph atlas restricted to n vertices: one graph per
+    isomorphism class, for every n <= 7."""
+    return [h for h in nx.graph_atlas_g() if h.number_of_nodes() == n]
+
+
+def same_classes(graphs, reference) -> bool:
+    """True iff the Graphs in ``graphs`` and the networkx graphs in
+    ``reference`` (one per class) hold the same isomorphism classes, each
+    exactly once.  Candidates are bucketed by degree sequence, then matched
+    by VF2."""
+    buckets: dict[tuple[int, ...], list[nx.Graph]] = {}
+    for h in reference:
+        buckets.setdefault(tuple(sorted(d for _, d in h.degree())), []).append(h)
+    for g in graphs:
+        h = to_nx(g)
+        cands = buckets.get(tuple(sorted(d for _, d in h.degree())), [])
+        hits = [i for i, r in enumerate(cands) if nx.is_isomorphic(h, r)]
+        if len(hits) != 1:
+            return False
+        cands.pop(hits[0])
+    return not any(buckets.values())
+
+
 def parity_table_ok(g: Graph, colors, signature) -> bool:
     """Every appearing color at v has a count of parity signature[v]."""
     for v in range(g.n):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from locirr.cli import main
 from locirr.dot import export_dot
@@ -99,9 +101,43 @@ class TestPipelines:
         code, _, err = run(capsys, *argv)
         assert code == 3 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("color", "C~", "--method", "parity", "--signature", "01x1"),
+            ("color", "C~", "--method", "forest2", "--even-side", "a"),
+            ("color", "C~", "--method", "balanced4", "--even-side", "0,1.5"),
+            ("color", ".", "--method", "parity", "--signature", "0000"),
+        ],
+    )
+    def test_malformed_option_is_input_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "error:" in err
+
     def test_decompose_odd_cycle(self, capsys):
         code, out, _ = run(capsys, "decompose", "DUW", "--mode", "2path")
         assert code == 2 and "no decomposition" in out
+
+
+class TestArbitraryInput:
+    """Any text as graph, --signature or --even-side ends in a documented
+    exit code, never a traceback."""
+
+    @given(graph=st.text(max_size=12), signature=st.text(max_size=8),
+           even=st.text(max_size=8))
+    @example(graph="C~", signature="1111", even="0")
+    @example(graph=".", signature="", even="")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes(self, capsys, graph, signature, even):
+        # "--" and "--opt=value" keep argparse from reading the text as options
+        for argv in (
+            ["color", "--method", "parity", f"--signature={signature}", "--", graph],
+            ["color", "--method", "forest2", f"--even-side={even}", "--", graph],
+            ["color", "--method", "balanced4", f"--even-side={even}", "--", graph],
+        ):
+            code, _, _ = run(capsys, *argv)
+            assert code in (0, 2, 3, 4)
 
 
 class TestCampaignCli:

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 import oracles
@@ -27,7 +28,19 @@ class TestCounts:
         assert [count(n, ALL) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
     def test_cubic(self):
-        assert [count(n, CUBIC) for n in (4, 6, 8, 10)] == [1, 2, 5, 19]
+        # OEIS A002851
+        assert [count(n, CUBIC) for n in (4, 6, 8, 10, 12)] == [1, 2, 5, 19, 85]
+
+    def test_connected_subcubic(self):
+        # OEIS A112410
+        assert [count(n, SUBCUBIC) for n in range(1, 11)] == [
+            1, 1, 2, 6, 10, 29, 64, 194, 531, 1733,
+        ]
+
+    def test_connected_bipartite(self):
+        # OEIS A005142
+        flt = GraphClassFilter(bipartite=True, connected=True)
+        assert [count(n, flt) for n in range(1, 9)] == [1, 1, 1, 3, 5, 17, 44, 182]
 
     def test_cubic_odd_order_empty(self):
         assert count(5, CUBIC) == 0
@@ -45,6 +58,52 @@ class TestCounts:
             assert count(n, ALL) == oracles.count_classes_naive(labeled)
             connected = [g for g in labeled if g.is_connected()]
             assert count(n, CONNECTED) == oracles.count_classes_naive(connected)
+
+
+def _degrees(h):
+    return [d for _, d in h.degree()]
+
+
+# each library filter beside the same predicate written on networkx graphs
+ATLAS_FILTERS = {
+    "all": (ALL, lambda h: True),
+    "connected": (CONNECTED, nx.is_connected),
+    "subcubic": (SUBCUBIC, lambda h: nx.is_connected(h) and max(_degrees(h)) <= 3),
+    "subcubic-min2": (
+        SUBCUBIC_MIN2,
+        lambda h: nx.is_connected(h) and all(2 <= d <= 3 for d in _degrees(h)),
+    ),
+    "cubic": (CUBIC, lambda h: nx.is_connected(h) and set(_degrees(h)) == {3}),
+    "bipartite": (
+        GraphClassFilter(bipartite=True, connected=True),
+        lambda h: nx.is_connected(h) and nx.is_bipartite(h),
+    ),
+    "non-bipartite": (
+        GraphClassFilter(bipartite=False, connected=True),
+        lambda h: nx.is_connected(h) and not nx.is_bipartite(h),
+    ),
+    "even": (
+        GraphClassFilter(edge_parity="even", connected=True),
+        lambda h: nx.is_connected(h) and h.number_of_edges() % 2 == 0,
+    ),
+    "odd": (
+        GraphClassFilter(edge_parity="odd", connected=True),
+        lambda h: nx.is_connected(h) and h.number_of_edges() % 2 == 1,
+    ),
+}
+
+
+class TestGraphAtlasOracle:
+    """Enumeration against networkx's atlas of all graphs on <= 7 vertices;
+    classes are compared by VF2, sharing no code with the enumerator."""
+
+    @pytest.mark.parametrize("name", sorted(ATLAS_FILTERS))
+    def test_filter_matches_atlas(self, name):
+        flt, pred = ATLAS_FILTERS[name]
+        for n in range(1, 8):
+            got = list(enumerate_graphs(n, flt))
+            want = [h for h in oracles.atlas(n) if pred(h)]
+            assert oracles.same_classes(got, want), f"{name} n={n}: {len(got)} vs {len(want)}"
 
 
 class TestStreamLaws:

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from locirr.graph import (
     Graph,
     Graph6Error,
     GraphError,
+    canon_adjacency,
     canonical_form,
     complete_graph,
     cube_graph,
@@ -188,3 +190,43 @@ class TestCanonicalForm:
         rng.shuffle(perm)
         h = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
         assert canonical_form(g) == canonical_form(h)
+
+
+def _orbit_partition(g: Graph) -> set[frozenset[int]]:
+    classes: dict[int, set[int]] = {}
+    for v, o in enumerate(canon_adjacency(g.adjacency_masks)[1]):
+        classes.setdefault(o, set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
+class TestOrbits:
+    def test_atlas_up_to_six_vertices(self):
+        for n in range(1, 7):
+            for h in oracles.atlas(n):
+                g = Graph(n, tuple(sorted(h.edges())))
+                assert _orbit_partition(g) == oracles.automorphism_orbits(g), g.edges
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(10, tuple(sorted(nx.petersen_graph().edges()))),
+            cube_graph(),
+            Graph(6, tuple((u, v) for u in range(3) for v in range(3, 6))),
+            cycle_graph(8),
+        ],
+        ids=["petersen", "q3", "k33", "c8"],
+    )
+    def test_vertex_transitive(self, g):
+        assert _orbit_partition(g) == oracles.automorphism_orbits(g)
+
+    @given(graphs(n_max=8), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_orbit_ids_follow_relabeling(self, g, rng):
+        # an orbit's id is a canonical position, so relabeling keeps it
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+        key_g, orbit_g = canon_adjacency(g.adjacency_masks)
+        key_h, orbit_h = canon_adjacency(h.adjacency_masks)
+        assert key_g == key_h
+        assert all(orbit_h[perm[v]] == orbit_g[v] for v in range(g.n))
