@@ -3,7 +3,11 @@
 Connected graphs are built one vertex at a time (every prefix connected),
 with degree-target pruning for the cubic/subcubic families.  Duplicates are
 never made: a child is kept only when its new vertex is the canonically
-chosen one to delete (McKay's canonical construction path).
+chosen one to delete (McKay's canonical construction path).  Each child
+passes three tests, cheapest first: the (degree, sorted neighbor degrees)
+profile, the cell order of ``graph.root_partition``, and only then the
+automorphism orbits from ``graph.canon_adjacency``, which starts its search
+from that same partition.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph, GraphError, canon_adjacency
+from .graph import Graph, GraphError, canon_adjacency, root_partition
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,10 @@ def _canonical_child(child, degs) -> tuple[int, ...] | None:
     The canonical vertex to delete is chosen among the non-cut vertices:
     first by the largest (degree, sorted neighbor degrees), then by the
     largest orbit id of ``canon_adjacency``.  The child is accepted iff k
-    lies in that orbit; None means rejected.
+    lies in that orbit; None means rejected.  Orbit ids follow the order of
+    the cells of ``root_partition``, so a tied vertex in a later root cell
+    than k rejects the child before any search; otherwise the root
+    partition is handed to the labeler.
     """
     k = len(child) - 1
 
@@ -154,7 +161,12 @@ def _canonical_child(child, degs) -> tuple[int, ...] | None:
             if p > mine:
                 return None
             ties.append(v)
-    key, orbit = canon_adjacency(child)
+    root = root_partition(child)
+    mine_at = next(i for i, c in enumerate(root) if c >> k & 1)
+    later = sum(root[mine_at + 1 :])
+    if any(later >> v & 1 for v in ties):
+        return None
+    key, orbit = canon_adjacency(child, root)
     if any(orbit[v] > orbit[k] for v in ties):
         return None
     return key

@@ -317,63 +317,242 @@ def write_graph6(g: Graph) -> str:
 
 
 # -- canonical labeling ------------------------------------------------------
+#
+# The labeler works on ordered partitions: lists of cells, each cell a
+# vertex mask.  McKay, "Practical graph isomorphism" (1981); McKay & Piperno,
+# "Practical graph isomorphism, II" (2014).
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """Coarsest stable refinement of ``colors``, renumbered 0, 1, 2, ...
+def _vertices(mask: int) -> list[int]:
+    """The vertices of ``mask`` in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    A vertex's signature is its own color plus the sorted colors of its
-    neighbors; colors are renumbered by signature rank until the number of
-    classes stops growing.  Ranks depend only on the signatures, so the
-    result commutes with relabeling the vertices.
+
+def _split(cells: list[int], classes: list[int], splitters: list[int]) -> None:
+    """Split every cell of ``cells`` in place by the disjoint vertex masks
+    ``classes``, which cover every vertex of a non-singleton cell.
+
+    Fragments replace their cell in the order of ``classes``.  Every
+    fragment but the first largest is appended to ``splitters``: once the
+    partition is equitable against the whole cell, the counts against that
+    one fragment follow from the others' (Hopcroft).
     """
-    n = len(nbrs)
-    classes = len(set(colors))
-    while classes < n:
-        sigs = [(colors[v], *sorted([colors[u] for u in nv])) for v, nv in enumerate(nbrs)]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == classes:
-            break
-        classes = len(rank)
-    return colors
+    i = 0
+    while i < len(cells):
+        c = cells[i]
+        i += 1
+        if not c & (c - 1):
+            continue
+        frags = [f for x in classes if (f := c & x)]
+        if len(frags) > 1:
+            cells[i - 1 : i] = frags
+            i += len(frags) - 1
+            sizes = [f.bit_count() for f in frags]
+            big = sizes.index(max(sizes))
+            splitters += frags[:big] + frags[big + 1 :]
 
 
-def canon_adjacency(masks: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical adjacency and automorphism orbits of a graph given by masks.
+def _count_classes(masks: Sequence[int], w: int) -> list[int]:
+    """The vertices with 0, 1, 2, ... neighbors in ``w``, as masks in
+    ascending count order, empty ones left out.
 
-    Individualization-refinement over an explicit stack, visiting every leaf
-    (no automorphism pruning).  Returns ``(key, orbit)``: ``key`` is the
-    least relabeled adjacency over all leaves, equal for two graphs iff they
-    are isomorphic.  The leaves reaching ``key`` are one coset of the
-    automorphism group, so ``orbit[v]``, the smallest position ``v`` takes
-    at those leaves, is shared exactly by the vertices of ``v``'s orbit.
+    The counts are summed bit-sliced: ``planes[j]`` holds bit j of every
+    vertex's count, so each vertex of ``w`` costs a few mask operations.
+    """
+    planes: list[int] = []
+    while w:
+        low = w & -w
+        w ^= low
+        carry = masks[low.bit_length() - 1]
+        for j, p in enumerate(planes):
+            planes[j] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    classes = [(1 << len(masks)) - 1]
+    for p in reversed(planes):
+        classes = [x for c in classes for x in (c & ~p, c & p) if x]
+    return classes
+
+
+def _refine(masks: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine the ordered partition ``cells`` in place and return it.
+
+    Each splitter mask ``w`` splits every non-singleton cell by the number
+    of neighbors its vertices have in ``w``, ``(masks[v] & w).bit_count()``,
+    fragments in ascending count order, and the new fragments become
+    splitters in turn (``_split``).  When the splitters account for every
+    cell (the vertex set for a one-cell partition; ``{v}`` after ``v`` is
+    individualized in an equitable partition), the result is the coarsest
+    equitable refinement.  Fragment order depends only on counts, so the
+    result commutes with relabeling.
     """
     n = len(masks)
-    nbrs = [[u for u in range(n) if mv >> u & 1] for mv in masks]
-    best: tuple[int, ...] | None = None
-    orbit: list[int] = []
-    stack = [[0] * n]
-    while stack:
-        colors = _refine(nbrs, stack.pop())
-        if len(set(colors)) < n:
-            # branch on each vertex of the first cell with two or more vertices
-            target = next(c for c in range(n) if colors.count(c) > 1)
-            for v in range(n - 1, -1, -1):
-                if colors[v] == target:
-                    child = [c + (c >= target) for c in colors]
-                    child[v] = target
-                    stack.append(child)
-            continue
-        # at a leaf the colors are the positions 0..n-1
-        perm = sorted(range(n), key=colors.__getitem__)
-        key = tuple([sum([1 << colors[u] for u in nbrs[v]]) for v in perm])
-        if best is None or key < best:
-            best, orbit = key, colors
-        elif key == best:
-            orbit = [min(a, b) for a, b in zip(orbit, colors)]
-    assert best is not None
-    return best, tuple(orbit)
+    while splitters and len(cells) < n:
+        _split(cells, _count_classes(masks, splitters.pop()), splitters)
+    return cells
+
+
+def _distance_profile(masks: Sequence[int], v: int) -> tuple[int, ...]:
+    """How many vertices lie at BFS distance 1, 2, ... from ``v``."""
+    seen = frontier = 1 << v
+    out = []
+    while True:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            return tuple(out)
+        seen |= frontier
+        out.append(frontier.bit_count())
+
+
+def root_partition(masks: Sequence[int]) -> list[int]:
+    """The equitable ordered partition the labeling search starts from.
+
+    One cell refined against the all-vertices splitter splits by degree.
+    Cells that still tie are split by distance profile, which separates
+    many vertices of regular graphs that degree leaves in one cell, and
+    refined again.  Both steps are isomorphism invariant: relabeling the
+    graph relabels the cells and keeps their order.
+    """
+    n = len(masks)
+    if n == 0:
+        return []
+    cells = _refine(masks, [(1 << n) - 1], [(1 << n) - 1])
+    if len(cells) < n:
+        by_profile: dict[tuple[int, ...], int] = {}
+        for c in cells:
+            if c & (c - 1):
+                for v in _vertices(c):
+                    p = _distance_profile(masks, v)
+                    by_profile[p] = by_profile.get(p, 0) | 1 << v
+        splitters: list[int] = []
+        _split(cells, [by_profile[p] for p in sorted(by_profile)], splitters)
+        _refine(masks, cells, splitters)
+    return cells
+
+
+def _individualize(masks: Sequence[int], cells: list[int], t: int, v: int) -> list[int]:
+    """The child partition: ``v`` placed before the rest of cell ``t``, refined."""
+    bit = 1 << v
+    return _refine(masks, cells[:t] + [bit, cells[t] ^ bit] + cells[t + 1 :], [bit])
+
+
+def _orbit_roots(n: int, gens: Iterable[Sequence[int]]) -> list[int]:
+    """Union-find over the cycles of the permutations ``gens``: ``root[v]``,
+    the least vertex of ``v``'s orbit under the group they generate."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for g in gens:
+        for v, w in enumerate(g):
+            a, b = find(v), find(w)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def canon_adjacency(
+    masks: Sequence[int], cells: list[int] | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical adjacency and automorphism orbits of a graph given by masks.
+
+    Returns ``(key, orbit)``.  ``key`` is the least relabeled adjacency
+    (entry i: the mask of positions adjacent to position i) over the leaves
+    of an individualization-refinement search, so it is equal for two
+    graphs iff they are isomorphic.  The search starts from ``cells``, which
+    must be ``root_partition(masks)`` (a caller that already holds it
+    passes it on), and runs on an explicit stack; each node branches on the
+    vertices of its first non-singleton cell.
+
+    A leaf with the key of the first or of the least leaf so far yields an
+    automorphism, and the search jumps back to the child of the deepest
+    common ancestor of the two leaves: that subtree is the image of one
+    already searched.  At a node on the first path, a child in the orbit of
+    an explored sibling under the automorphisms found is skipped: all of
+    them fix the node's path pointwise, because the search has not yet left
+    its subtree.  The automorphisms found generate the automorphism group
+    (McKay 1981), so their union-find orbits are exact.
+    ``orbit[v]`` is the least position a vertex of ``v``'s orbit takes at
+    the least leaf: vertices share it iff they share an orbit, and ids
+    follow the order of the cells of ``cells``.
+    """
+    n = len(masks)
+    if cells is None:
+        cells = root_partition(masks)
+    nbrs = [_vertices(mv) for mv in masks]
+    autos: list[list[int]] = []
+    first = best = None  # (key, leaf order, path) of the first and the least leaf
+    path: list[int] = []  # the vertex individualized at each depth
+    stack: list[list] = []  # per depth: [partition, target cell index, candidates, next]
+    node = cells
+    while True:
+        while len(node) < n:
+            t = next(i for i, c in enumerate(node) if c & (c - 1))
+            cand = _vertices(node[t])
+            stack.append([node, t, cand, 1])
+            path.append(cand[0])
+            node = _individualize(masks, node, t, cand[0])
+        lab = [c.bit_length() - 1 for c in node]
+        pos = [0] * n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        key = tuple([sum([1 << pos[u] for u in nbrs[v]]) for v in lab])
+        if first is None:
+            first = best = (key, lab, path[:])
+        else:
+            twin = first if key == first[0] else best if key == best[0] else None
+            if twin is not None:
+                g = [0] * n
+                for a, b in zip(twin[1], lab):
+                    g[a] = b
+                autos.append(g)
+                d = 0
+                while path[d] == twin[2][d]:
+                    d += 1
+                del stack[d + 1 :]
+            elif key < best[0]:
+                best = (key, lab, path[:])
+        # move to the next unpruned sibling of the deepest node that has one
+        while stack:
+            d = len(stack) - 1
+            part, t, cand, j = stack[-1]
+            if j < len(cand) and path[:d] == first[2][:d]:
+                # on the first path the search has not yet left this node's
+                # subtree, so every automorphism found fixes its path
+                roots = _orbit_roots(n, autos)
+                seen = {roots[u] for u in cand[:j]}
+                while j < len(cand) and roots[cand[j]] in seen:
+                    j += 1
+            if j < len(cand):
+                stack[-1][3] = j + 1
+                del path[d:]
+                path.append(cand[j])
+                node = _individualize(masks, part, t, cand[j])
+                break
+            stack.pop()
+        else:
+            break
+    roots = _orbit_roots(n, autos)
+    least: dict[int, int] = {}
+    for i, v in enumerate(best[1]):
+        least.setdefault(roots[v], i)
+    return best[0], tuple(least[roots[v]] for v in range(n))
 
 
 def canonical_form(g: Graph) -> bytes:

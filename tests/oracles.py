@@ -86,13 +86,28 @@ def count_classes_naive(graphs) -> int:
 
 
 def automorphism_orbits(g: Graph) -> set[frozenset[int]]:
-    """Vertex orbits of the automorphism group, from every VF2 self-map."""
+    """Vertex orbits of the automorphism group.  ``v`` and ``w`` share an
+    orbit iff VF2 finds an isomorphism from the graph with ``v`` marked to
+    the graph with ``w`` marked.  Each vertex is tested only against the
+    least vertex of every orbit found so far, so K8 costs 7 tests, not the
+    8! self-maps."""
     h = to_nx(g)
-    orbit = {v: {v} for v in range(g.n)}
-    for m in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
-        for v, w in m.items():
-            orbit[v].add(w)
-    return {frozenset(o) for o in orbit.values()}
+    match = nx.algorithms.isomorphism.categorical_node_match("mark", False)
+    least = list(range(g.n))  # least vertex of each vertex's orbit
+    for v in range(g.n):
+        if least[v] != v:
+            continue
+        for w in range(v + 1, g.n):
+            if least[w] != w:
+                continue
+            a, b = h.copy(), h.copy()
+            a.nodes[v]["mark"] = b.nodes[w]["mark"] = True
+            if nx.algorithms.isomorphism.GraphMatcher(a, b, node_match=match).is_isomorphic():
+                least[w] = v
+    classes: dict[int, set[int]] = {}
+    for v, o in enumerate(least):
+        classes.setdefault(o, set()).add(v)
+    return {frozenset(c) for c in classes.values()}
 
 
 def atlas(n: int) -> list[nx.Graph]:

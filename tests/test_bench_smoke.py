@@ -1,0 +1,24 @@
+"""The benchmark command prints one JSON result line with the declared metrics."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_prints_one_json_result():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "campaign-subcubic-min2", "--seconds", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}

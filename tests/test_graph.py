@@ -1,3 +1,6 @@
+import random
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -17,10 +20,20 @@ from locirr.graph import (
     fully_subdivide,
     parse_graph6,
     path_graph,
+    root_partition,
     star_graph,
     subdivide_edge,
     write_graph6,
 )
+
+
+def _from_nx(h: nx.Graph) -> Graph:
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph(h.number_of_nodes(), tuple(sorted(tuple(sorted(e)) for e in h.edges())))
+
+
+def _relabeled(g: Graph, perm: list[int]) -> Graph:
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 @st.composite
@@ -191,6 +204,73 @@ class TestCanonicalForm:
         h = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
         assert canonical_form(g) == canonical_form(h)
 
+    def test_trivial_graphs(self):
+        assert canon_adjacency([]) == ((), ())
+        assert canon_adjacency([0]) == ((0,), (0,))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(12),
+            Graph(12, ()),
+            Graph(12, tuple((u, v) for u in range(6) for v in range(6, 12))),
+        ],
+        ids=["k12", "empty12", "k66"],
+    )
+    def test_large_automorphism_group_is_fast(self, g):
+        # 12! leaves without automorphism pruning; a few milliseconds with it
+        start = time.perf_counter()
+        canonical_form(g)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestRootPartition:
+    @given(graphs(n_max=9))
+    @settings(max_examples=150, deadline=None)
+    def test_equitable(self, g):
+        # every vertex of a cell has the same number of neighbors in each cell
+        masks = g.adjacency_masks
+        cells = root_partition(masks)
+        assert sorted(v for c in cells for v in range(g.n) if c >> v & 1) == list(range(g.n))
+        for c in cells:
+            counts = {
+                tuple((masks[v] & d).bit_count() for d in cells)
+                for v in range(g.n)
+                if c >> v & 1
+            }
+            assert len(counts) == 1
+
+    @given(graphs(n_max=9), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_follows_relabeling(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cells = root_partition(g.adjacency_masks)
+        moved = [sum(1 << perm[v] for v in range(g.n) if c >> v & 1) for c in cells]
+        assert root_partition(_relabeled(g, perm).adjacency_masks) == moved
+
+
+# vertex-transitive graphs with large groups, plus disconnected and
+# asymmetric ones, which reach the labeler's pruning and jump-back branches
+SYMMETRIC = [
+    ("petersen", Graph(10, tuple(sorted(nx.petersen_graph().edges())))),
+    ("q3", cube_graph()),
+    ("k33", Graph(6, tuple((u, v) for u in range(3) for v in range(3, 6)))),
+    ("c8", cycle_graph(8)),
+    ("k8", complete_graph(8)),
+    ("empty8", Graph(8, ())),
+    ("k44", Graph(8, tuple((u, v) for u in range(4) for v in range(4, 8)))),
+    ("q4", _from_nx(nx.hypercube_graph(4))),
+    ("heawood", _from_nx(nx.heawood_graph())),
+    ("moebius_kantor", _from_nx(nx.moebius_kantor_graph())),
+    ("pappus", _from_nx(nx.pappus_graph())),
+    ("desargues", _from_nx(nx.desargues_graph())),
+    ("dodecahedron", _from_nx(nx.dodecahedral_graph())),
+    ("3k3", _from_nx(nx.disjoint_union_all([nx.complete_graph(3)] * 3))),
+    ("2c5_k1", _from_nx(nx.disjoint_union_all([nx.cycle_graph(5)] * 2 + [nx.empty_graph(1)]))),
+    ("frucht", _from_nx(nx.frucht_graph())),
+]
+
 
 def _orbit_partition(g: Graph) -> set[frozenset[int]]:
     classes: dict[int, set[int]] = {}
@@ -206,18 +286,18 @@ class TestOrbits:
                 g = Graph(n, tuple(sorted(h.edges())))
                 assert _orbit_partition(g) == oracles.automorphism_orbits(g), g.edges
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            Graph(10, tuple(sorted(nx.petersen_graph().edges()))),
-            cube_graph(),
-            Graph(6, tuple((u, v) for u in range(3) for v in range(3, 6))),
-            cycle_graph(8),
-        ],
-        ids=["petersen", "q3", "k33", "c8"],
-    )
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in SYMMETRIC])
     def test_vertex_transitive(self, g):
         assert _orbit_partition(g) == oracles.automorphism_orbits(g)
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in SYMMETRIC])
+    def test_key_after_relabeling(self, g):
+        perm = list(range(g.n))
+        random.Random(g.n * 1000 + g.m).shuffle(perm)
+        key, orbit = canon_adjacency(g.adjacency_masks)
+        key_h, orbit_h = canon_adjacency(_relabeled(g, perm).adjacency_masks)
+        assert key_h == key
+        assert all(orbit_h[perm[v]] == orbit[v] for v in range(g.n))
 
     @given(graphs(n_max=8), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
