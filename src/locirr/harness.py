@@ -22,7 +22,6 @@ from .solver import (
     EXCEEDED_BUDGET,
     NOT_DECOMPOSABLE,
     REFUTED,
-    SolveResult,
     chi_irr,
     element_uniform_search,
 )
@@ -93,20 +92,14 @@ def _test_one(g: Graph, bound: int, method: str, node_budget: int | None):
     if g.m == 0:
         return ("ok", 0)
     if method == "exact":
-        res = chi_irr(g, max(bound, 1), node_budget=node_budget)
-        if res.status == COLORED:
-            return ("ok", res.k)
+        # one solve up to floor(m/2) colors finds the index even past the
+        # bound, so the budget covers the graph's whole solve
+        res = chi_irr(g, max(bound, g.m // 2, 1), node_budget=node_budget)
         if res.status == NOT_DECOMPOSABLE:
             return ("skip", 0)
         if res.status == EXCEEDED_BUDGET:
             raise BudgetExhausted(f"node budget hit on {write_graph6(g)}")
-        # refuted within the bound: find the true value for the report
-        full = chi_irr(g, max(1, g.m // 2), node_budget=node_budget)
-        if full.status == EXCEEDED_BUDGET:
-            raise BudgetExhausted(f"node budget hit on {write_graph6(g)}")
-        if full.status == NOT_DECOMPOSABLE:
-            return ("skip", 0)
-        return ("exceeder", full.k)
+        return (("exceeder" if res.k > bound else "ok"), res.k)
     if method == "constructive":
         try:
             d = strongly_pertinent_decomposition(g)

@@ -9,10 +9,12 @@ edges (single edges for chi_irr, whole decomposition elements for
 element-uniform search, vertex bundles for the balanced-forest colorer, edge
 halves for the subdivision colorer).  Pruning is by closure: once every
 active edge at both endpoints of an edge is colored, the equal-degree test
-for that edge is final and can cut the branch.  The parity and proper
-edge-coloring searches in ``constructive`` use the engine with their own
-hooks.  A node budget given to ``chi_irr`` or ``element_uniform_search``
-covers the whole call, all k together.
+for that edge is final and can cut the branch.  Every search branches in
+``edge_order``, a breadth-first vertex-completion order, so vertices become
+complete early and closure cuts a bad branch soon after it is made.  The
+parity and proper edge-coloring searches in ``constructive`` use the engine
+with their own hooks.  A node budget given to ``chi_irr`` or
+``element_uniform_search`` covers the whole call, all k together.
 """
 
 from __future__ import annotations
@@ -42,12 +44,31 @@ class _Budget(Exception):
     """Raised by ``backtrack`` once its node count passes the budget."""
 
 
-def edge_order(g: Graph, eids=None) -> list[int]:
-    """Branching order: descending endpoint degree sum, ties by edge id."""
-    if eids is None:
-        eids = range(g.m)
-    deg = g.degrees
-    return sorted(eids, key=lambda e: (-(deg[g.edges[e][0]] + deg[g.edges[e][1]]), e))
+def edge_order(g: Graph) -> list[int]:
+    """Branching order by vertex completion: components in order of their
+    least vertex, each searched breadth-first from that vertex; a dequeued
+    vertex emits its edges not yet emitted, in ``g.incidence`` order.
+
+    Every vertex is complete once it has been dequeued, so the closure check
+    in ``search_groups`` judges each edge a few positions after the search
+    reaches it, not deep in the search."""
+    emitted = [False] * g.m
+    seen = [False] * g.n
+    order = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue = [s]
+        for v in queue:  # the loop also visits vertices appended below
+            for e, u in g.incidence[v]:
+                if not emitted[e]:
+                    emitted[e] = True
+                    order.append(e)
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+    return order
 
 
 def backtrack(n: int, k: int, place, unplace, node_budget: int | None = None):

@@ -8,9 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_prints_one_json_result():
+def _check_one_json_result(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "campaign-subcubic-min2", "--seconds", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -22,3 +22,11 @@ def test_bench_prints_one_json_result():
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+def test_bench_prints_one_json_result():
+    _check_one_json_result("campaign-subcubic-min2")
+
+
+def test_solve_cubic_bench_prints_one_json_result():
+    _check_one_json_result("solve-cubic")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from locirr import harness
 from locirr.decompose import Decomposition, validate_decomposition
 from locirr.enumerate import enumerate_trees
 from locirr.graph import GraphError, parse_graph6, write_graph6
@@ -27,6 +28,23 @@ class TestCampaign:
         report = run_campaign("cubic", 4, 1)
         assert not report.passed
         assert report.exceeders == ["C~"]
+
+    def test_one_solve_per_graph(self, monkeypatch):
+        # an exceeder's index comes from the same solve that refutes the bound
+        calls = []
+
+        def counting_chi_irr(g, *args, **kwargs):
+            calls.append(g)
+            return chi_irr(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "chi_irr", counting_chi_irr)
+        report = run_campaign("cubic", 8, 2)
+        assert report.per_n == {4: 1, 6: 2, 8: 5}
+        assert report.histogram == {2: 4, 3: 4}
+        assert report.non_decomposable == {}
+        assert report.exceeders == ["C~", "Eqlo", "GqHHsg", "GqHTOw"]
+        graphs = report.tested + sum(report.non_decomposable.values())
+        assert len(calls) == len({id(g) for g in calls}) == graphs
 
     def test_non_decomposable_counted_separately(self):
         report = run_campaign("all", 5, 3)

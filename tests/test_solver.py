@@ -1,4 +1,7 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from locirr.decompose import Decomposition, Element, two_path_decomposition
@@ -17,9 +20,45 @@ from locirr.solver import (
     NOT_DECOMPOSABLE,
     REFUTED,
     chi_irr,
+    edge_order,
     element_uniform_search,
     is_decomposable,
 )
+
+
+@st.composite
+def multigraphs(draw, n_max=9):
+    """Loopless multigraphs, edges in drawn order, often disconnected."""
+    n = draw(st.integers(1, n_max))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    return Graph(n, tuple(pairs), multigraph=True)
+
+
+class TestEdgeOrder:
+    @given(multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_component_blocks_grow_connected(self, g):
+        order = edge_order(g)
+        assert sorted(order) == list(range(g.m))
+        # each component's edges form one block, blocks ordered by least
+        # vertex, and every prefix of a block is a connected edge set
+        comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
+        blocks = [comp_of[g.edges[e][0]] for e in order]
+        assert blocks == sorted(blocks)
+        touched = set()
+        for i, e in enumerate(order):
+            u, v = g.edges[e]
+            if i and blocks[i] == blocks[i - 1]:
+                assert u in touched or v in touched
+            touched.update((u, v))
+
+    def test_vertex_completion(self):
+        # C6 from vertex 0: both edges at 0, then those at 1 and 5, then 2
+        assert edge_order(cycle_graph(6)) == [0, 5, 1, 4, 2, 3]
+
+    def test_long_path_past_recursion_limit(self):
+        assert edge_order(path_graph(10_000)) == list(range(10_000))
 
 
 class TestChiIrr:
@@ -63,11 +102,22 @@ class TestChiIrr:
         assert res.nodes >= 100_000
 
     def test_budget_covers_whole_call(self):
-        # C6 spends 3, 19 and 15 nodes on k = 1, 2, 3: each level fits in 20
+        # C6 spends 3, 19 and 18 nodes on k = 1, 2, 3: each level fits in 20
         # nodes on its own, the three together do not
-        assert chi_irr(cycle_graph(6), 3).nodes == 37
-        assert chi_irr(cycle_graph(6), 3, node_budget=37).status == COLORED
+        assert chi_irr(cycle_graph(6), 3).nodes == 40
+        assert chi_irr(cycle_graph(6), 3, node_budget=40).status == COLORED
         assert chi_irr(cycle_graph(6), 3, node_budget=20).status == EXCEEDED_BUDGET
+
+    def test_random_cubic_tail_within_budget(self):
+        # 2-colorable cubic graphs on which a degree-sum edge order needs up
+        # to 141,179 nodes; vertex completion keeps each under 20,000
+        for seed in range(20):
+            h = nx.random_regular_graph(3, 18, seed=seed)
+            if not nx.is_connected(h):
+                continue
+            g = Graph(18, tuple(sorted(tuple(sorted(e)) for e in h.edges())))
+            res = chi_irr(g, 4, node_budget=20_000)
+            assert res.status == COLORED, seed
 
     def test_long_path_past_recursion_limit(self):
         g = path_graph(1200)
