@@ -12,6 +12,7 @@ exhaustive element-uniform search, and the fallback is counted.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .decompose import TWO_PATH, Decomposition, validate_decomposition
@@ -25,6 +26,7 @@ from .solver import (
     central_pair_ok,
     edge_order,
     element_uniform_search,
+    incident_elements,
     search_groups,
 )
 
@@ -331,49 +333,6 @@ def proper_edge_color(g: Graph) -> EdgeColoring:
     for v in range(g.n):
         seen = [ecol[e] for e, _ in g.incidence[v]]
         assert len(seen) == len(set(seen))
-    return col
-
-
-def subdivided_base(g: Graph) -> Graph:
-    """Recover the cubic base graph b with fully_subdivide(b) == g exactly
-    (same vertex and edge ids); raises on any shape mismatch."""
-    deg = g.degrees
-    n_base = sum(1 for d in deg if d == 3)
-    if any(deg[v] != 3 for v in range(n_base)) or any(
-        deg[v] != 2 for v in range(n_base, g.n)
-    ):
-        raise GraphError("not a fully subdivided cubic graph in canonical layout")
-    edges = []
-    for s in range(n_base, g.n):
-        nb = g.neighbors(s)
-        if len(nb) != 2 or any(x >= n_base for x in nb):
-            raise GraphError("not a fully subdivided cubic graph in canonical layout")
-        edges.append((nb[0], nb[1]))
-    try:
-        base = Graph(n_base, tuple(edges))
-    except GraphError as exc:
-        raise GraphError(f"not a fully subdivided cubic graph: {exc}") from exc
-    if fully_subdivide(base) != g:
-        raise GraphError("subdivision vertex ids do not follow the canonical layout")
-    return base
-
-
-def induced_coloring_from_subdivided_proper(g: Graph, proper: EdgeColoring) -> EdgeColoring:
-    """Lift a proper coloring of the cubic base onto its full subdivision:
-    both halves of each subdivided edge inherit the base edge's color, so each
-    color class is a disjoint union of 2-paths."""
-    base = subdivided_base(g)
-    if len(proper.colors) != base.m:
-        raise GraphError(f"coloring has {len(proper.colors)} entries for {base.m} base edges")
-    for v in range(base.n):
-        seen = [proper.colors[e] for e, _ in base.incidence[v]]
-        if len(seen) != len(set(seen)):
-            raise GraphError(f"base coloring is not proper at vertex {v}")
-    colors = [0] * g.m
-    for e in range(base.m):
-        colors[2 * e] = colors[2 * e + 1] = proper.colors[e]
-    col = EdgeColoring(tuple(colors), proper.k)
-    assert verify_coloring(g, col).valid
     return col
 
 
@@ -693,15 +652,15 @@ def element_properties_ok(
     """Check element-uniformity and the central-incidence rule: two incident
     elements of the same color may only meet at vertices central for one."""
     failures = []
-    for el in d.elements:
+    els = d.elements
+    for el in els:
         cs = {col.colors[e] for e in el.edges}
         if len(cs) != 1:
             failures.append(f"element {el.edges} is not monochromatic: colors {sorted(cs)}")
-    els = d.elements
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            ci = col.colors[els[i].edges[0]]
-            if ci != col.colors[els[j].edges[0]]:
+    for i, near in enumerate(incident_elements(els)):
+        ci = col.colors[els[i].edges[0]]
+        for j in near:
+            if j < i or ci != col.colors[els[j].edges[0]]:
                 continue
             shared = set(els[i].vertices) & set(els[j].vertices)
             for v in sorted(shared):
@@ -722,13 +681,18 @@ def color_subcubic_4(
     """Element-uniform 4-coloring of a subcubic graph from a strongly
     pertinent decomposition.
 
-    Recursive extension: repeatedly remove the 2-path with the fewest
-    conflicts, color the rest, then reinstate it by the first applicable
-    rule — a color free of its neighborhood, direct placement, recoloring an
-    incident element, an element-level color-pair swap, or removing a second
-    2-path and placing the pair jointly.  When every remaining element is a
-    2-path centered at a degree-2 vertex, a proper coloring of the contracted
-    base finishes at once.  Anything still unresolved goes to the exhaustive
+    One iterative loop over one coloring, in two phases.  Peeling removes the
+    2-path with the fewest remaining incident elements, again and again,
+    until the exhaustive base case applies (at most 4 edges or no 2-path
+    left) or the endgame does: when every remaining element is a 2-path
+    centered at a vertex of remaining degree 2, a proper coloring of the
+    contracted base colors them all at once.  Reinstating then brings the
+    peeled 2-paths back in reverse order, each by the first applicable rule:
+    a color free of its neighborhood, direct placement, recoloring an
+    incident element, an element-level color-pair swap, or pair removal,
+    which uncolors one incident 2-path and places the two jointly.  Every
+    rule checks local irregularity and the central pair rule only at the
+    vertices of the elements it changed.  Any failure goes to the exhaustive
     element-uniform search, whose success is guaranteed for strongly
     pertinent inputs; fallbacks are counted in ``stats``.
     """
@@ -739,191 +703,219 @@ def color_subcubic_4(
         raise GraphError(f"decomposition is not strongly pertinent: {report.failures[0]}")
     if stats is None:
         stats = SubcubicStats()
-    els = list(d.elements)
-    n_el = len(els)
-    vsets = [set(el.vertices) for el in els]
-    adj_el = [
-        sorted(j for j in range(n_el) if j != i and vsets[i] & vsets[j]) for i in range(n_el)
-    ]
-    memo: dict[frozenset, dict | None] = {}
+    els = d.elements
+    near: list[list[int]] = [[] for _ in els]  # incident elements, ascending
+    clash: list[list[int]] = [[] for _ in els]  # incident, may not share a color
+    for (i, j), ok in central_pair_ok(els).items():
+        near[i].append(j)
+        near[j].append(i)
+        if not ok:
+            clash[i].append(j)
+            clash[j].append(i)
+    verts = [el.vertices for el in els]
+    el_of = [0] * g.m
+    for i, el in enumerate(els):
+        for e in el.edges:
+            el_of[e] = i
+    color = [0] * len(els)  # 0 while uncolored
+    cnt = [[deg, 0, 0, 0, 0] for deg in g.degrees]  # cnt[v][c]: c-colored edges at v
 
     def log(msg):
         if trace is not None:
             trace.append(msg)
 
-    def check(assign) -> bool:
-        cnt: dict[int, dict[int, int]] = {}
-        for i, c in assign.items():
-            for e in els[i].edges:
-                for v in g.edges[e]:
-                    cnt.setdefault(v, {})
-                    cnt[v][c] = cnt[v].get(c, 0) + 1
-        for i, c in assign.items():
-            for e in els[i].edges:
-                u, v = g.edges[e]
-                if cnt[u][c] == cnt[v][c]:
-                    return False
-        for i, c in assign.items():
-            for j in adj_el[i]:
-                if j > i and assign.get(j) == c:
-                    for v in vsets[i] & vsets[j]:
-                        if (
-                            v not in els[i].central_vertices
-                            and v not in els[j].central_vertices
-                        ):
-                            return False
+    def paint(i, c):
+        old = color[i]
+        color[i] = c
+        for e in els[i].edges:
+            for v in g.edges[e]:
+                cnt[v][old] -= 1
+                cnt[v][c] += 1
+
+    def fits(group) -> bool:
+        """Whether the coloring, valid before the elements of ``group`` were
+        repainted, is still valid: only the edges at their vertices and the
+        pairs they belong to can have broken."""
+        for i in group:
+            if any(color[j] == color[i] for j in clash[i]):
+                return False
+            for v in verts[i]:
+                cv = cnt[v]
+                for e, w in g.incidence[v]:
+                    c = color[el_of[e]]
+                    if c and cv[c] == cnt[w][c]:
+                        return False
         return True
 
-    def brute(active):
-        order_local = sorted(active)
-        sel = [els[i] for i in order_local]
+    # -- peel ----------------------------------------------------------------
+    active = [True] * len(els)
+    conf = [len(nb) for nb in near]  # incident elements still active
+    live = list(g.degrees)  # active edges at each vertex
+    left_edges = g.m
+    left_paths = sum(el.kind == TWO_PATH for el in els)
+
+    def blocks(i) -> bool:
+        """Whether active element i keeps the endgame from applying."""
+        el = els[i]
+        return el.kind != TWO_PATH or live[el.central_vertices[0]] != 2
+
+    def key(i):
+        return (conf[i], els[i].central_vertices[0], els[i].edges, i)
+
+    blocking = sum(map(blocks, range(len(els))))
+    heap = [key(i) for i, el in enumerate(els) if el.kind == TWO_PATH]
+    heapq.heapify(heap)
+
+    def base_case(rest) -> bool:
+        sel = [els[i] for i in rest]
         assignment, _ = search_groups(
             g, [el.edges for el in sel], 4, pair_ok=central_pair_ok(sel)
         )
-        return None if assignment is None else dict(zip(order_local, assignment))
+        if assignment is None:
+            return False
+        for i, c in zip(rest, assignment):
+            paint(i, c)
+        stats.base_cases += 1
+        log(f"base case on {len(rest)} elements")
+        return True
 
-    def place(assign, p):
-        inc_colors = {assign[j] for j in adj_el[p] if j in assign}
+    def endgame(rest) -> bool:
+        base_verts = sorted({v for i in rest for v in els[i].pendant_vertices})
+        bidx = {v: k for k, v in enumerate(base_verts)}
+        bedges = [tuple(bidx[v] for v in els[i].pendant_vertices) for i in rest]
+        if len(set(bedges)) != len(bedges):
+            return False  # parallel base edges: proper colorer does not apply
+        pc = proper_edge_color(Graph(len(base_verts), tuple(bedges)))
+        if pc.k > 4:
+            return False
+        for i, c in zip(rest, pc.colors):
+            paint(i, c)
+        if not fits(rest):
+            for i in rest:
+                paint(i, 0)
+            return False
+        stats.endgame += 1
+        log("endgame: proper coloring of the contracted base")
+        return True
+
+    peeled = []
+    done = True  # cleared when a phase fails
+    while left_edges:
+        if left_edges <= 4 or not left_paths:
+            rest = [i for i in range(len(els)) if active[i]]
+            done = len(rest) <= 8 and base_case(rest)
+            break
+        if not blocking and endgame([i for i in range(len(els)) if active[i]]):
+            break
+        entry = heapq.heappop(heap)
+        while not active[entry[-1]] or entry != key(entry[-1]):  # stale entry
+            entry = heapq.heappop(heap)
+        p = entry[-1]
+        touched = [j for j in near[p] if active[j]]
+        blocking -= blocks(p) + sum(map(blocks, touched))
+        active[p] = False
+        for e in els[p].edges:
+            for v in g.edges[e]:
+                live[v] -= 1
+        blocking += sum(map(blocks, touched))
+        for j in touched:
+            conf[j] -= 1
+            if els[j].kind == TWO_PATH:
+                heapq.heappush(heap, key(j))
+        left_edges -= 2
+        left_paths -= 1
+        peeled.append(p)
+
+    # -- reinstate -----------------------------------------------------------
+    def place(p) -> bool:
+        near_colors = {color[j] for j in near[p]}
         for c in range(1, 5):
-            if c not in inc_colors:
-                out = dict(assign)
-                out[p] = c
+            if c not in near_colors:
+                paint(p, c)
                 # an element with no same-colored incident element is alone
                 # in its class around its own vertices, hence safe
-                assert check(out)
+                assert fits([p])
                 stats.free_color += 1
                 log(f"free-color {c} for element {p}")
-                return out
+                return True
         for c in range(1, 5):
-            out = dict(assign)
-            out[p] = c
-            if check(out):
+            paint(p, c)
+            if fits([p]):
                 stats.direct += 1
                 log(f"direct {c} for element {p}")
-                return out
-        return None
+                return True
+        paint(p, 0)
+        return False
 
-    def elem_swap(assign, a, b, seed):
+    def chain(seed, a, b):
+        """Elements reachable from ``seed`` through incident elements colored
+        a or b."""
         comp = {seed}
         stack = [seed]
         while stack:
-            i = stack.pop()
-            for j in adj_el[i]:
-                if j not in comp and assign.get(j) in (a, b):
+            for j in near[stack.pop()]:
+                if j not in comp and color[j] in (a, b):
                     comp.add(j)
                     stack.append(j)
-        out = dict(assign)
-        for i in comp:
-            out[i] = b if out[i] == a else a
-        return out, frozenset(comp)
+        return comp
 
-    def try_endgame(active):
-        act_deg: dict[int, int] = {}
-        for i in active:
-            for e in els[i].edges:
-                for v in g.edges[e]:
-                    act_deg[v] = act_deg.get(v, 0) + 1
-        for i in active:
-            el = els[i]
-            if el.kind != TWO_PATH or act_deg[el.central_vertices[0]] != 2:
-                return None
-        order_act = sorted(active)
-        base_verts = sorted({v for i in active for v in els[i].pendant_vertices})
-        bidx = {v: k for k, v in enumerate(base_verts)}
-        bedges = []
-        for i in order_act:
-            a, c = els[i].pendant_vertices
-            bedges.append((bidx[a], bidx[c]))
-        if len({tuple(sorted(x)) for x in bedges}) != len(bedges):
-            return None  # parallel base edges: proper colorer does not apply
-        pc = proper_edge_color(Graph(len(base_verts), tuple(bedges)))
-        if pc.k > 4:
-            return None
-        out = {i: pc.colors[k] for k, i in enumerate(order_act)}
-        return out if check(out) else None
+    def reinstate(p) -> bool:
+        if place(p):
+            return True
+        colored = [j for j in near[p] if color[j]]
+        for j in colored:
+            old = color[j]
+            for c in range(1, 5):
+                if c != old:
+                    paint(j, c)
+                    if fits([j]) and place(p):
+                        stats.recolor += 1
+                        log(f"recolor element {j} -> {c}")
+                        return True
+            paint(j, old)
+        seen = set()
+        for j in colored:
+            a = color[j]
+            for b in range(1, 5):
+                if b == a:
+                    continue
+                comp = chain(j, a, b)
+                sig = (frozenset((a, b)), frozenset(comp))
+                if sig in seen:
+                    continue
+                seen.add(sig)
+                for i in comp:
+                    paint(i, a + b - color[i])
+                if fits(comp) and place(p):
+                    stats.swaps += 1
+                    log(f"swap{{{a},{b}}} seeded at element {j}")
+                    return True
+                for i in comp:
+                    paint(i, a + b - color[i])
 
-    def solve(active: frozenset):
-        if active in memo:
-            return memo[active]
-        memo[active] = res = _solve(active)
-        return res
-
-    def _solve(active):
-        if not active:
-            return {}
-        two_paths = [i for i in active if els[i].kind == TWO_PATH]
-        total_edges = sum(len(els[i].edges) for i in active)
-        if total_edges <= 4 or not two_paths:
-            if len(active) > 8:
-                return None
-            r = brute(active)
-            if r is not None:
-                stats.base_cases += 1
-                log(f"base case on {len(active)} elements")
-            return r
-        eg = try_endgame(active)
-        if eg is not None:
-            stats.endgame += 1
-            log("endgame: proper coloring of the contracted base")
-            return eg
-
-        def key(i):
-            nconf = sum(1 for j in adj_el[i] if j in active)
+        def rank(i):  # the peel key as it stood when p was peeled
+            nconf = sum(1 for x in near[i] if color[x] or x == p)
             return (nconf, els[i].central_vertices[0], els[i].edges)
 
-        p = min(two_paths, key=key)
-        sub = solve(active - {p})
-        if sub is not None:
-            r = place(sub, p)
-            if r is not None:
-                return r
-            for j in (j for j in adj_el[p] if j in sub):
-                for c2 in range(1, 5):
-                    if c2 == sub[j]:
-                        continue
-                    alt = dict(sub)
-                    alt[j] = c2
-                    if check(alt):
-                        r = place(alt, p)
-                        if r is not None:
-                            stats.recolor += 1
-                            log(f"recolor element {j} -> {c2}")
-                            return r
-            seen = set()
-            for j in (j for j in adj_el[p] if j in sub):
-                a = sub[j]
-                for b2 in range(1, 5):
-                    if b2 == a:
-                        continue
-                    alt, comp = elem_swap(sub, a, b2, j)
-                    sig = (frozenset((a, b2)), comp)
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    if check(alt):
-                        r = place(alt, p)
-                        if r is not None:
-                            stats.swaps += 1
-                            log(f"swap{{{a},{b2}}} seeded at element {j}")
-                            return r
-        partners = [i for i in two_paths if i != p and i in adj_el[p]]
-        for rsel in sorted(partners, key=key)[:2]:
-            sub2 = solve(active - {p, rsel})
-            if sub2 is None:
-                continue
+        partners = [j for j in colored if els[j].kind == TWO_PATH]
+        for r in sorted(partners, key=rank)[:2]:
+            old = color[r]
             for cp in range(1, 5):
                 for cr in range(1, 5):
-                    alt = dict(sub2)
-                    alt[p] = cp
-                    alt[rsel] = cr
-                    if check(alt):
+                    paint(p, cp)
+                    paint(r, cr)
+                    if fits([p, r]):
                         stats.pair_removal += 1
-                        log(f"pair-removal of elements {p} and {rsel}")
-                        return alt
-        return None
+                        log(f"pair-removal of elements {p} and {r}")
+                        return True
+            paint(p, 0)
+            paint(r, old)
+        return False
 
-    result = solve(frozenset(range(n_el)))
-    if result is None:
+    done = done and all(map(reinstate, reversed(peeled)))
+    if done:
+        col = EdgeColoring(tuple(color[i] for i in el_of), max(color, default=0))
+    else:
         stats.fallbacks += 1
         log("fallback: exhaustive element-uniform search")
         res = element_uniform_search(g, d, 4, enforce_property_ii=True)
@@ -932,12 +924,6 @@ def color_subcubic_4(
                 "element-uniform 4-coloring refuted; decomposition is not colorable"
             )
         col = res.coloring
-    else:
-        colors = [0] * g.m
-        for i, c in result.items():
-            for e in els[i].edges:
-                colors[e] = c
-        col = EdgeColoring(tuple(colors), max(result.values(), default=0))
     assert verify_coloring(g, col).valid
     ok, fails = element_properties_ok(g, d, col)
     assert ok, fails

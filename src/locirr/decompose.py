@@ -389,39 +389,6 @@ def validate_decomposition(g: Graph, d: Decomposition, mode: str = "any") -> Val
     return ValidationReport(not failures, tuple(failures))
 
 
-def conflicts(d: Decomposition, e: Element) -> tuple[int, list[Element]]:
-    """Number (and list) of distinct elements sharing a vertex with e."""
-    if e not in d.elements:
-        raise GraphError("element does not belong to the decomposition")
-    verts = set(e.vertices)
-    hits = [q for q in d.elements if q != e and verts & set(q.vertices)]
-    return len(hits), hits
-
-
-def classify_two_path(d: Decomposition, p: Element) -> str:
-    """Neighborhood type of a 2-path: 'a', 'b', or 'c'.
-
-    (a): a pendant vertex of p is the central vertex of some other element;
-    (b): otherwise, some element meets p at p's central vertex;
-    (c): all incidences happen at vertices pendant for every element involved.
-    """
-    if p.kind != TWO_PATH:
-        raise GraphError("classify_two_path expects a 2-path element")
-    if max(d.host.degrees, default=0) > 3:
-        raise GraphError("type classification is defined for subcubic hosts")
-    if p not in d.elements:
-        raise GraphError("element does not belong to the decomposition")
-    others = [q for q in d.elements if q != p]
-    for q in others:
-        if set(p.pendant_vertices) & set(q.central_vertices):
-            return "a"
-    center = p.central_vertices[0]
-    for q in others:
-        if center in q.vertices:
-            return "b"
-    return "c"
-
-
 def enumerate_two_path_decompositions(g: Graph):
     """All partitions of the edge set into 2-paths, lazily, deterministic order."""
     for comp in _edge_components(g, range(g.m)):

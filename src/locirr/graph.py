@@ -8,9 +8,9 @@ multigraphs and gives decompositions and colorings stable references.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -211,19 +211,6 @@ def fully_subdivide(g: Graph) -> Graph:
         edges.append((u, s))
         edges.append((s, v))
     return Graph(g.n + g.m, tuple(edges))
-
-
-def subdivide_edge(g: Graph, e: int, times: int) -> Graph:
-    """Replace edge e by a path with ``times`` internal vertices (appended ids)."""
-    if not (0 <= e < g.m):
-        raise GraphError(f"unknown edge id {e}")
-    if times < 1:
-        raise GraphError("times must be positive")
-    u, v = g.edges[e]
-    chain = [u] + [g.n + i for i in range(times)] + [v]
-    new_edges = list(g.edges[:e]) + list(g.edges[e + 1 :])
-    new_edges.extend(zip(chain, chain[1:]))
-    return Graph(g.n + times, tuple(new_edges), multigraph=g.multigraph)
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -118,14 +118,3 @@ def swap(g: Graph, c: EdgeColoring, comp: ColorPairComponent) -> EdgeColoring:
     for e in comp.edges:
         new[e] = flip[new[e]]
     return EdgeColoring(tuple(new), c.k)
-
-
-def has_ab_path(g: Graph, c: EdgeColoring, a: int, b: int, u: int, v: int) -> bool:
-    """True iff u and v lie in the same {a,b}-component (reflexively true)."""
-    if u == v:
-        return True
-    comp = kempe_component(g, c, a, b, u)
-    for e in comp.edges:
-        if v in g.edges[e]:
-            return True
-    return False

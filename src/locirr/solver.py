@@ -144,13 +144,9 @@ def search_groups(
     # share this group's color
     barred: list[tuple[int, ...]] = [()] * len(groups)
     if pair_ok is not None:
-        vert_of = [{v for e in grp for v in edges[e]} for grp in groups]
-        for j in range(len(groups)):
-            barred[j] = tuple(
-                groups[i][0]
-                for i in range(j)
-                if vert_of[i] & vert_of[j] and not pair_ok.get((i, j), True)
-            )
+        for (i, j), ok in pair_ok.items():
+            if not ok:
+                barred[j] += (groups[i][0],)
 
     def place(gi: int, c: int) -> bool:
         for f in barred[gi]:
@@ -187,16 +183,29 @@ def central_pair_ok(elements) -> dict[tuple[int, int], bool]:
     """The central-vertex pair rule as ``pair_ok`` for ``search_groups`` over
     decomposition elements, indexed in list order: two incident elements may
     share a color only if every vertex they share is central for one of them."""
+    verts = [set(el.vertices) for el in elements]
     pair_ok = {}
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            ei, ej = elements[i], elements[j]
-            shared = set(ei.vertices) & set(ej.vertices)
-            if shared:
+    for i, near in enumerate(incident_elements(elements)):
+        ei = elements[i]
+        for j in near:
+            if j > i:
+                ej = elements[j]
                 pair_ok[(i, j)] = all(
-                    v in ei.central_vertices or v in ej.central_vertices for v in shared
+                    v in ei.central_vertices or v in ej.central_vertices
+                    for v in verts[i] & verts[j]
                 )
     return pair_ok
+
+
+def incident_elements(elements) -> list[list[int]]:
+    """For each element, the ascending indices of the other elements sharing
+    a vertex with it, found through a vertex-to-elements index."""
+    verts = [el.vertices for el in elements]
+    at: dict[int, list[int]] = {}
+    for i, vs in enumerate(verts):
+        for v in vs:
+            at.setdefault(v, []).append(i)
+    return [sorted({j for v in vs for j in at[v]} - {i}) for i, vs in enumerate(verts)]
 
 
 def _assignment_to_coloring(g: Graph, groups, assignment, k) -> EdgeColoring:

@@ -143,3 +143,31 @@ def parity_table_ok(g: Graph, colors, signature) -> bool:
         if any(c % 2 != signature[v] for c in cnt.values()):
             return False
     return True
+
+
+def central_pair_ok_all_pairs(elements) -> dict[tuple[int, int], bool]:
+    """The central-vertex pair rule over every pair i < j of decomposition
+    elements, in lexicographic order: an entry for each pair sharing a
+    vertex, True iff every shared vertex is central for one of the two."""
+    out = {}
+    for i, j in combinations(range(len(elements)), 2):
+        a, b = elements[i], elements[j]
+        shared = set(a.vertices) & set(b.vertices)
+        if shared:
+            out[(i, j)] = all(v in a.central_vertices or v in b.central_vertices for v in shared)
+    return out
+
+
+def non_central_meetings(elements, colors) -> list[tuple[int, int, int]]:
+    """(i, j, v) for every pair i < j of same-colored elements meeting at a
+    vertex v central for neither, in lexicographic order; ``colors[e]`` is
+    the color of edge e."""
+    out = []
+    for i, j in combinations(range(len(elements)), 2):
+        a, b = elements[i], elements[j]
+        if colors[a.edges[0]] != colors[b.edges[0]]:
+            continue
+        for v in sorted(set(a.vertices) & set(b.vertices)):
+            if v not in a.central_vertices and v not in b.central_vertices:
+                out.append((i, j, v))
+    return out

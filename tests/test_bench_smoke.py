@@ -8,9 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _check_one_json_result(workload):
+def _check_one_json_result(workload, *extra, section="end_to_end"):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "1", *extra],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -20,7 +20,7 @@ def _check_one_json_result(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())[section]
     assert set(result["metrics"]) == {m["name"] for m in declared}
 
 
@@ -30,3 +30,10 @@ def test_bench_prints_one_json_result():
 
 def test_solve_cubic_bench_prints_one_json_result():
     _check_one_json_result("solve-cubic")
+
+
+def test_traced_bench_prints_one_json_result():
+    # a traced run reports one constructive.rule.<field> metric per
+    # SubcubicStats field, so renaming, adding or removing a field, or a
+    # library print to stdout, breaks the declared per-layer metric names
+    _check_one_json_result("campaign-subcubic-min2", "--trace", "1", section="per_layer")

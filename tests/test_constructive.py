@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +16,15 @@ from locirr.constructive import (
     color_fully_subdivided_2,
     color_subcubic_4,
     element_properties_ok,
-    induced_coloring_from_subdivided_proper,
     proper_edge_color,
-    subdivided_base,
     vertex_parity_color,
 )
-from locirr.decompose import strongly_pertinent_decomposition
+from locirr.decompose import (
+    Decomposition,
+    Element,
+    enumerate_two_path_decompositions,
+    strongly_pertinent_decomposition,
+)
 from locirr.graph import (
     Graph,
     GraphError,
@@ -28,6 +32,7 @@ from locirr.graph import (
     cube_graph,
     cycle_graph,
     fully_subdivide,
+    parse_graph6,
     path_graph,
     star_graph,
 )
@@ -203,37 +208,6 @@ class TestProperEdgeColoring:
             assert not oracles.proper_k_colorable(g, delta)
 
 
-class TestSubdividedBase:
-    def test_k4_round_trip(self):
-        s = fully_subdivide(complete_graph(4))
-        assert subdivided_base(s) == complete_graph(4)
-
-    def test_non_subdivided_rejected(self):
-        with pytest.raises(GraphError):
-            subdivided_base(complete_graph(4))
-        with pytest.raises(GraphError):
-            subdivided_base(fully_subdivide(star_graph(3)))  # base not cubic
-
-    def test_induced_from_c4_base(self):
-        # the subdivision of a cycle is a doubled cycle; both halves of each
-        # base edge inherit its color
-        s = fully_subdivide(cube_graph())
-        col = induced_coloring_from_subdivided_proper(s, proper_edge_color(cube_graph()))
-        assert verify_coloring(s, col).valid
-        for e in range(cube_graph().m):
-            assert col.colors[2 * e] == col.colors[2 * e + 1]
-
-    def test_induced_k4(self):
-        s = fully_subdivide(complete_graph(4))
-        col = induced_coloring_from_subdivided_proper(s, proper_edge_color(complete_graph(4)))
-        assert col.k == 3 and verify_coloring(s, col).valid
-
-    def test_improper_base_coloring_rejected(self):
-        s = fully_subdivide(complete_graph(4))
-        with pytest.raises(GraphError):
-            induced_coloring_from_subdivided_proper(s, EdgeColoring((1,) * 6, 1))
-
-
 class TestFullySubdivided2:
     def check(self, base, expect_k=None):
         col = color_fully_subdivided_2(base)
@@ -372,3 +346,73 @@ class TestSubcubic4:
         bad = EdgeColoring((1, 2, 1, 2), 2)
         ok, failures = element_properties_ok(g, d, bad)
         assert not ok and failures
+
+    def test_element_properties_match_all_pairs_reference(self, subcubic_small):
+        # random two-color element-uniform colorings of every 2-path
+        # decomposition: the pair failures found through the vertex index
+        # are the all-pairs ones, in the same order
+        rng = random.Random(7)
+        for g in subcubic_small:
+            if g.m % 2:
+                continue
+            for d in enumerate_two_path_decompositions(g):
+                els = d.elements
+                colors = [0] * g.m
+                for el in els:
+                    c = rng.randint(1, 2)
+                    for e in el.edges:
+                        colors[e] = c
+                ok, failures = element_properties_ok(g, d, EdgeColoring(tuple(colors), 2))
+                want = [
+                    f"same-colored elements {els[i].edges} and {els[j].edges}"
+                    f" meet at non-central vertex {v}"
+                    for i, j, v in oracles.non_central_meetings(els, colors)
+                ]
+                assert list(failures) == want and ok == (not want)
+
+    def test_random_cubic_1000_under_default_recursion_limit(self):
+        # peeling and reinstating run in one loop, so no stack grows with n
+        h = nx.random_regular_graph(3, 1000, seed=0)
+        self.run(Graph(1000, tuple(tuple(sorted(e)) for e in h.edges())))
+
+    def test_recolor_rule(self):
+        # the one instance found where recoloring an incident element fires,
+        # over all decomposable subcubic graphs with n <= 11 and random cubic
+        # and subcubic graphs with n = 200..2000
+        g = parse_graph6("GqI?yW")
+        d = strongly_pertinent_decomposition(g)
+        stats = SubcubicStats()
+        trace: list[str] = []
+        col = color_subcubic_4(g, d, stats=stats, trace=trace)
+        assert verify_coloring(g, col).valid and element_properties_ok(g, d, col)[0]
+        assert stats.recolor == 1
+        assert trace == [
+            "base case on 1 elements",
+            "free-color 2 for element 2",
+            "free-color 3 for element 4",
+            "free-color 4 for element 3",
+            "free-color 2 for element 1",
+            "recolor element 2 -> 3",
+        ]
+
+    def test_direct_rule(self):
+        # found by a random search over 2-path decompositions of random
+        # subcubic graphs: element 3 sees all four colors around it, yet
+        # color 1 keeps every class locally irregular
+        g = Graph(12, (
+            (0, 8), (1, 4), (8, 11), (5, 11), (4, 10), (5, 9), (1, 7), (0, 6),
+            (7, 9), (4, 9), (1, 5), (2, 11), (0, 3), (6, 10), (3, 7), (2, 10),
+        ))
+        pairs = ((0, 2), (1, 4), (3, 5), (6, 10), (7, 13), (8, 9), (11, 15), (12, 14))
+        d = Decomposition(tuple(Element.from_edges(g, pr) for pr in pairs), g)
+        stats = SubcubicStats()
+        trace: list[str] = []
+        col = color_subcubic_4(g, d, stats=stats, trace=trace)
+        assert verify_coloring(g, col).valid and element_properties_ok(g, d, col)[0]
+        assert stats.direct == 1
+        assert trace == [
+            "endgame: proper coloring of the contracted base",
+            "free-color 3 for element 5",
+            "free-color 4 for element 7",
+            "direct 1 for element 3",
+        ]

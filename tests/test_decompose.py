@@ -7,8 +7,6 @@ from locirr.decompose import (
     Decomposition,
     DecompositionError,
     Element,
-    classify_two_path,
-    conflicts,
     enumerate_two_path_decompositions,
     pertinent_decomposition,
     strongly_pertinent_decomposition,
@@ -181,76 +179,6 @@ class TestValidate:
     def test_bad_mode(self):
         with pytest.raises(GraphError):
             validate_decomposition(cycle_graph(4), two_path_decomposition(cycle_graph(4)), "x")
-
-
-class TestConflicts:
-    def test_c4(self):
-        g = cycle_graph(4)
-        d = two_path_decomposition(g)
-        for el in d.elements:
-            assert conflicts(d, el)[0] == 1
-
-    def test_bull_two_path(self):
-        d = pertinent_decomposition(BULL)
-        tp = next(el for el in d.elements if el.kind == TWO_PATH)
-        n, hits = conflicts(d, tp)
-        assert n == 1 and hits[0].kind == CLAW
-
-    def test_foreign_element(self):
-        d = two_path_decomposition(cycle_graph(4))
-        alien = Element.from_edges(path_graph(2), (0, 1))
-        with pytest.raises(GraphError):
-            conflicts(d, alien)
-
-    def test_matches_pairwise_oracle(self, subcubic_small):
-        for g in subcubic_small:
-            if g.m == 0 or g.m % 2:
-                continue
-            d = two_path_decomposition(g)
-            for el in d.elements:
-                naive = sum(
-                    1
-                    for q in d.elements
-                    if q != el and set(q.vertices) & set(el.vertices)
-                )
-                assert conflicts(d, el)[0] == naive
-
-
-class TestClassify:
-    def test_c4_type_c(self):
-        g = cycle_graph(4)
-        d = two_path_decomposition(g)
-        assert {classify_two_path(d, el) for el in d.elements} == {"c"}
-
-    def test_type_a(self):
-        g = Graph(5, ((0, 1), (1, 2), (2, 3), (2, 4)))
-        d = Decomposition(
-            (Element.from_edges(g, (0, 1)), Element.from_edges(g, (2, 3))), g
-        )
-        p = next(el for el in d.elements if el.central_vertices == (1,))
-        assert classify_two_path(d, p) == "a"
-
-    def test_type_b(self):
-        g = Graph(6, ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))
-        d = Decomposition(
-            (Element.from_edges(g, (0, 1, 2)), Element.from_edges(g, (3, 4))), g
-        )
-        p = next(el for el in d.elements if el.kind == TWO_PATH)
-        assert classify_two_path(d, p) == "b"
-
-    def test_non_subcubic_rejected(self):
-        g = star_graph(4)
-        d = Decomposition(
-            (Element.from_edges(g, (0, 1)), Element.from_edges(g, (2, 3))), g
-        )
-        with pytest.raises(GraphError):
-            classify_two_path(d, d.elements[0])
-
-    def test_claw_rejected(self):
-        g = star_graph(3)
-        d = pertinent_decomposition(g)
-        with pytest.raises(GraphError):
-            classify_two_path(d, d.elements[0])
 
 
 class TestEnumeration:

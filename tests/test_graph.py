@@ -22,7 +22,6 @@ from locirr.graph import (
     path_graph,
     root_partition,
     star_graph,
-    subdivide_edge,
     write_graph6,
 )
 
@@ -164,13 +163,6 @@ class TestSubdivision:
         theta = Graph(2, ((0, 1), (0, 1), (0, 1)), multigraph=True)
         s = fully_subdivide(theta)
         assert not s.multigraph and (s.n, s.m) == (5, 6)
-
-    def test_subdivide_edge(self):
-        assert oracles.isomorphic(subdivide_edge(path_graph(1), 0, 1), path_graph(2))
-        assert oracles.isomorphic(subdivide_edge(path_graph(1), 0, 3), path_graph(4))
-        assert oracles.isomorphic(subdivide_edge(cycle_graph(4), 2, 2), cycle_graph(6))
-        with pytest.raises(GraphError):
-            subdivide_edge(path_graph(1), 5, 1)
 
 
 class TestCanonicalForm:

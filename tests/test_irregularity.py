@@ -7,7 +7,6 @@ from locirr.graph import Graph, GraphError, cycle_graph, path_graph, star_graph
 from locirr.irregularity import (
     EdgeColoring,
     color_class,
-    has_ab_path,
     is_locally_irregular,
     kempe_component,
     swap,
@@ -126,15 +125,3 @@ class TestKempe:
         other = EdgeColoring((3, 3, 4, 4), 4)
         with pytest.raises(GraphError):
             swap(C4, other, comp)
-
-    def test_has_ab_path(self):
-        assert has_ab_path(C4, C4_1122, 1, 2, 0, 2)
-        # the color-1 edges alone form the path 0-1-2; vertex 3 sits apart
-        assert has_ab_path(C4, C4_1122, 1, 3, 0, 2)
-        assert not has_ab_path(C4, C4_1122, 1, 3, 0, 3)
-
-    def test_has_ab_path_reflexive(self):
-        g = Graph(3, ((0, 1),))
-        col = EdgeColoring((1,), 1)
-        assert has_ab_path(g, col, 1, 2, 2, 2)  # isolated anchor, by convention
-        assert has_ab_path(g, col, 1, 2, 0, 0)

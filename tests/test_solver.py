@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from locirr.decompose import Decomposition, Element, two_path_decomposition
+from locirr.decompose import (
+    Decomposition,
+    Element,
+    enumerate_two_path_decompositions,
+    strongly_pertinent_decomposition,
+    two_path_decomposition,
+)
 from locirr.graph import (
     Graph,
     GraphError,
@@ -19,6 +25,7 @@ from locirr.solver import (
     EXCEEDED_BUDGET,
     NOT_DECOMPOSABLE,
     REFUTED,
+    central_pair_ok,
     chi_irr,
     edge_order,
     element_uniform_search,
@@ -200,3 +207,22 @@ class TestElementUniform:
         el = Element.from_edges(g, (0, 1))
         with pytest.raises(GraphError):
             element_uniform_search(g, Decomposition((el,), g), 2)
+
+
+class TestCentralPairOk:
+    def test_matches_all_pairs_reference(self, subcubic_small):
+        # every decomposition of a connected subcubic graph with n <= 8: the
+        # strongly pertinent one and every one into 2-paths
+        decompositions = []
+        for g in subcubic_small:
+            try:
+                decompositions.append(strongly_pertinent_decomposition(g))
+            except GraphError:
+                pass
+            if g.m % 2 == 0:
+                decompositions.extend(enumerate_two_path_decompositions(g))
+        assert len(decompositions) == 1206
+        for d in decompositions:
+            got = central_pair_ok(d.elements)
+            want = oracles.central_pair_ok_all_pairs(d.elements)
+            assert list(got.items()) == list(want.items())
