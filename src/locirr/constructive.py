@@ -26,8 +26,8 @@ from .solver import (
     central_pair_ok,
     edge_order,
     element_uniform_search,
-    incident_elements,
     search_groups,
+    shared_vertices,
 )
 
 
@@ -657,13 +657,9 @@ def element_properties_ok(
         cs = {col.colors[e] for e in el.edges}
         if len(cs) != 1:
             failures.append(f"element {el.edges} is not monochromatic: colors {sorted(cs)}")
-    for i, near in enumerate(incident_elements(els)):
-        ci = col.colors[els[i].edges[0]]
-        for j in near:
-            if j < i or ci != col.colors[els[j].edges[0]]:
-                continue
-            shared = set(els[i].vertices) & set(els[j].vertices)
-            for v in sorted(shared):
+    for (i, j), shared in shared_vertices(els):
+        if col.colors[els[i].edges[0]] == col.colors[els[j].edges[0]]:
+            for v in shared:
                 if v not in els[i].central_vertices and v not in els[j].central_vertices:
                     failures.append(
                         f"same-colored elements {els[i].edges} and {els[j].edges}"

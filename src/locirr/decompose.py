@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 
 from .graph import Graph, GraphError
@@ -29,13 +30,21 @@ class Element:
     central_vertices: tuple[int, ...]
     pendant_vertices: tuple[int, ...]
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.central_vertices + self.pendant_vertices))
 
     @staticmethod
     def from_edges(g: Graph, edges) -> "Element":
         edges = tuple(sorted(edges))
+        if len(edges) == 2:
+            # a 2-path: two edges with exactly one common end
+            p, q = g.edges[edges[0]], g.edges[edges[1]]
+            ends = set(p + q)
+            if len(ends) == 3:
+                center = p[0] if p[0] in q else p[1]
+                ends.remove(center)
+                return Element(TWO_PATH, edges, (center,), tuple(sorted(ends)))
         deg: dict[int, int] = {}
         adj: dict[int, set[int]] = {}
         for e in edges:
@@ -45,10 +54,6 @@ class Element:
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
         degs = sorted(deg.values())
-        if len(edges) == 2 and degs == [1, 1, 2] and len(deg) == 3:
-            center = next(v for v, d in deg.items() if d == 2)
-            pend = tuple(sorted(v for v in deg if v != center))
-            return Element(TWO_PATH, edges, (center,), pend)
         if len(edges) == 3 and degs == [1, 1, 1, 3] and len(deg) == 4:
             center = next(v for v, d in deg.items() if d == 3)
             pend = tuple(sorted(v for v in deg if v != center))
@@ -137,11 +142,11 @@ def _incidence(g: Graph, comp: list[int]) -> dict[int, list[tuple[int, int]]]:
 
 
 def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
-    """Pair a connected even-size edge set into 2-paths.
+    """Pair a connected even-size edge set, in ascending order, into 2-paths.
 
     Rooted spanning tree, vertices processed in reverse BFS order; each vertex
-    pairs its unused edges locally and pushes an odd leftover onto its parent
-    tree edge.
+    pairs its unused edges locally, in ascending order, and pushes an odd
+    leftover onto its parent tree edge.
     """
     assert len(comp) % 2 == 0
     inc = _incidence(g, comp)
@@ -153,7 +158,7 @@ def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
     while i < len(order):
         v = order[i]
         i += 1
-        for e, u in sorted(inc[v]):
+        for e, u in inc[v]:  # ascending, as ``comp`` is
             if u not in seen:
                 seen.add(u)
                 parent_edge[u] = e
@@ -162,7 +167,7 @@ def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     for v in reversed(order):
         pe = parent_edge.get(v)
-        avail = [e for e, _ in sorted(inc[v]) if e not in used and e != pe]
+        avail = [e for e, _ in inc[v] if e not in used and e != pe]
         while len(avail) >= 2:
             a, b = avail.pop(0), avail.pop(0)
             used.update((a, b))
@@ -235,13 +240,18 @@ def _subdivided_claw_placements(g: Graph, comp: list[int]):
 def _component_colorable(g: Graph, elements: list[Element], node_budget: int = 500_000) -> bool:
     """Can these elements be colored uniformly with at most 4 colors, locally
     irregular, with same-colored incident elements meeting only at vertices
-    central for one of them?  Budgeted; an overrun counts as colorable."""
-    from .solver import _Budget, central_pair_ok, search_groups
+    central for one of them?
 
-    groups = [tuple(el.edges) for el in elements]
+    The search branches over the elements in ``solver.in_edge_order``, the
+    vertex-completion order of every exact search.  It is budgeted: an
+    overrun counts as colorable.  Without an overrun the answer does not
+    depend on the order."""
+    from .solver import _Budget, central_pair_ok, in_edge_order, search_groups
+
+    els = in_edge_order(g, elements)
     try:
         assignment, _ = search_groups(
-            g, groups, 4, pair_ok=central_pair_ok(elements), node_budget=node_budget
+            g, [el.edges for el in els], 4, pair_ok=central_pair_ok(els), node_budget=node_budget
         )
     except _Budget:
         return True
@@ -250,22 +260,33 @@ def _component_colorable(g: Graph, elements: list[Element], node_budget: int = 5
 
 def _two_path_partitions(g: Graph, unused: list[int]):
     """All partitions of a sorted edge list into 2-paths, as lists of edge
-    pairs, lazily, in deterministic order."""
-    if not unused:
-        yield []
-        return
-    e = unused[0]
-    u, v = g.edges[e]
-    rest = unused[1:]
-    for f in rest:
-        x, y = g.edges[f]
-        if x in (u, v) or y in (u, v):
-            try:
-                Element.from_edges(g, (e, f))
-            except DecompositionError:
-                continue
-            for tail in _two_path_partitions(g, [h for h in rest if h != f]):
-                yield [(e, f)] + tail
+    pairs, lazily, in deterministic order: the least unplaced edge is paired
+    with each later unplaced edge sharing exactly one end with it, in list
+    order, depth first.  Iterative, so any number of 2-paths fits."""
+    ends = [set(g.edges[e]) for e in unused]
+    n = len(unused)
+    free = [True] * n
+    placed: list[tuple[int, int]] = []  # positions in ``unused`` of each 2-path
+    i = j = 0  # i: least free position; j: the last partner tried for it
+    while True:
+        if i == n:
+            yield [(unused[a], unused[b]) for a, b in placed]
+            j = n
+        else:
+            j += 1
+            while j < n and not (free[j] and len(ends[i] & ends[j]) == 1):
+                j += 1
+        if j < n:
+            free[i] = free[j] = False
+            placed.append((i, j))
+            while i < n and not free[i]:
+                i += 1
+            j = i
+        elif placed:
+            i, j = placed.pop()
+            free[i] = free[j] = True
+        else:
+            return
 
 
 def _even_component_elements(g: Graph, comp: list[int]) -> list[Element]:
@@ -285,6 +306,20 @@ def _even_component_elements(g: Graph, comp: list[int]) -> list[Element]:
     return default
 
 
+def _claw_candidates(g: Graph, comp: list[int], placements):
+    """For each placement from ``placements(g, comp)`` whose residual edge
+    components are all even: the placed element, then the spanning-tree
+    2-paths of the residual."""
+    for placement in placements(g, comp):
+        placed = set(placement)
+        sub = _edge_components(g, [e for e in comp if e not in placed])
+        if any(len(c) % 2 for c in sub):
+            continue
+        yield [Element.from_edges(g, placement)] + [
+            Element.from_edges(g, pair) for c in sub for pair in _pair_component(g, c)
+        ]
+
+
 def _build_odd_component(g: Graph, comp: list[int]) -> tuple[list[Element], bool]:
     """Decompose an odd-size component: one claw-type element plus 2-paths.
 
@@ -296,15 +331,7 @@ def _build_odd_component(g: Graph, comp: list[int]) -> tuple[list[Element], bool
     """
     for placements, used_k13pp in ((_claw_placements, False), (_subdivided_claw_placements, True)):
         first: list[Element] | None = None
-        for placement in placements(g, comp):
-            residual = [e for e in comp if e not in set(placement)]
-            sub = _edge_components(g, residual) if residual else []
-            if any(len(c) % 2 for c in sub):
-                continue
-            elements = [Element.from_edges(g, placement)]
-            for c in sub:
-                for a, b in _pair_component(g, c):
-                    elements.append(Element.from_edges(g, (a, b)))
+        for elements in _claw_candidates(g, comp, placements):
             if first is None:
                 first = elements
             if _component_colorable(g, elements):
@@ -361,7 +388,13 @@ def validate_decomposition(g: Graph, d: Decomposition, mode: str = "any") -> Val
             failures.append(f"element {el.edges} mislabeled (kind/roles)")
     if sorted(covered) != list(range(g.m)):
         failures.append("elements do not partition the edge set")
-    if mode in ("pertinent", "strongly_pertinent") and not failures:
+    # with only 2-paths no component holds a claw-type element, so no
+    # per-component rule can fail
+    if (
+        mode in ("pertinent", "strongly_pertinent")
+        and not failures
+        and any(el.kind != TWO_PATH for el in d.elements)
+    ):
         comp_of: dict[int, int] = {}
         comps = _edge_components(g, range(g.m))
         for ci, comp in enumerate(comps):
@@ -376,16 +409,10 @@ def validate_decomposition(g: Graph, d: Decomposition, mode: str = "any") -> Val
                 failures.append(f"component {ci} has {len(claws)} claw-type elements")
         if mode == "strongly_pertinent":
             for ci, claws in claws_per_comp.items():
-                if claws and claws[0].kind == SUBDIVIDED_CLAW:
-                    comp = comps[ci]
-                    for placement in _claw_placements(g, comp):
-                        residual = [e for e in comp if e not in set(placement)]
-                        sub = _edge_components(g, residual) if residual else []
-                        if not any(len(c) % 2 for c in sub):
-                            failures.append(
-                                f"component {ci} uses K_{{1,3}}'' although a plain claw works"
-                            )
-                            break
+                if claws[0].kind != SUBDIVIDED_CLAW:
+                    continue
+                if next(_claw_candidates(g, comps[ci], _claw_placements), None) is not None:
+                    failures.append(f"component {ci} uses K_{{1,3}}'' although a plain claw works")
     return ValidationReport(not failures, tuple(failures))
 
 

@@ -11,7 +11,9 @@ halves for the subdivision colorer).  Pruning is by closure: once every
 active edge at both endpoints of an edge is colored, the equal-degree test
 for that edge is final and can cut the branch.  Every search branches in
 ``edge_order``, a breadth-first vertex-completion order, so vertices become
-complete early and closure cuts a bad branch soon after it is made.  The
+complete early and closure cuts a bad branch soon after it is made; searches
+over decomposition elements, the decomposer's colorability check included,
+take the elements in ``in_edge_order``, by their first edge in that order.  The
 parity and proper edge-coloring searches in ``constructive`` use the engine
 with their own hooks.  A node budget given to ``chi_irr`` or
 ``element_uniform_search`` covers the whole call, all k together.
@@ -179,33 +181,46 @@ def search_groups(
     return backtrack(len(groups), k, place, unplace, node_budget)
 
 
+def in_edge_order(g: Graph, elements) -> list:
+    """``elements`` sorted by the least ``edge_order`` position of their
+    edges: the branching order of every element-uniform search."""
+    rank = [0] * g.m
+    for i, e in enumerate(edge_order(g)):
+        rank[e] = i
+    return sorted(elements, key=lambda el: min(rank[e] for e in el.edges))
+
+
+def shared_vertices(elements):
+    """Yield ``((i, j), shared)`` for each pair i < j of elements (indexed in
+    list order) that share a vertex, pairs ascending, ``shared`` the
+    ascending list of their shared vertices.  One vertex-to-elements index
+    serves all pairs."""
+    at: dict[int, list[int]] = {}
+    for i, el in enumerate(elements):
+        for v in el.vertices:
+            at.setdefault(v, []).append(i)
+    for i, el in enumerate(elements):
+        later: dict[int, list[int]] = {}  # j > i -> shared vertices
+        for v in el.vertices:
+            for j in at[v]:
+                if j > i:
+                    later.setdefault(j, []).append(v)
+        for j in sorted(later):
+            yield (i, j), later[j]
+
+
 def central_pair_ok(elements) -> dict[tuple[int, int], bool]:
     """The central-vertex pair rule as ``pair_ok`` for ``search_groups`` over
-    decomposition elements, indexed in list order: two incident elements may
-    share a color only if every vertex they share is central for one of them."""
-    verts = [set(el.vertices) for el in elements]
-    pair_ok = {}
-    for i, near in enumerate(incident_elements(elements)):
-        ei = elements[i]
-        for j in near:
-            if j > i:
-                ej = elements[j]
-                pair_ok[(i, j)] = all(
-                    v in ei.central_vertices or v in ej.central_vertices
-                    for v in verts[i] & verts[j]
-                )
-    return pair_ok
-
-
-def incident_elements(elements) -> list[list[int]]:
-    """For each element, the ascending indices of the other elements sharing
-    a vertex with it, found through a vertex-to-elements index."""
-    verts = [el.vertices for el in elements]
-    at: dict[int, list[int]] = {}
-    for i, vs in enumerate(verts):
-        for v in vs:
-            at.setdefault(v, []).append(i)
-    return [sorted({j for v in vs for j in at[v]} - {i}) for i, vs in enumerate(verts)]
+    decomposition elements, indexed in list order, keys ascending: two
+    incident elements may share a color only if every vertex they share is
+    central for one of them."""
+    return {
+        (i, j): all(
+            v in elements[i].central_vertices or v in elements[j].central_vertices
+            for v in vs
+        )
+        for (i, j), vs in shared_vertices(elements)
+    }
 
 
 def _assignment_to_coloring(g: Graph, groups, assignment, k) -> EdgeColoring:
@@ -292,8 +307,7 @@ def element_uniform_search(
     report = validate_decomposition(g, d, mode="any")
     if not report.valid:
         raise GraphError(f"invalid decomposition: {report.failures[0]}")
-    rank = {e: i for i, e in enumerate(edge_order(g))}
-    order = sorted(range(len(d.elements)), key=lambda i: min(rank[e] for e in d.elements[i].edges))
-    groups = [tuple(d.elements[i].edges) for i in order]
-    pair_ok = central_pair_ok([d.elements[i] for i in order]) if enforce_property_ii else None
+    els = in_edge_order(g, d.elements)
+    groups = [el.edges for el in els]
+    pair_ok = central_pair_ok(els) if enforce_property_ii else None
     return _search_levels(g, groups, k_max, pair_ok, node_budget, REFUTED)

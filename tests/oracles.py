@@ -171,3 +171,18 @@ def non_central_meetings(elements, colors) -> list[tuple[int, int, int]]:
             if v not in a.central_vertices and v not in b.central_vertices:
                 out.append((i, j, v))
     return out
+
+
+def two_path_partitions(g: Graph, edges: list[int]) -> list[list[tuple[int, int]]]:
+    """Every partition of a sorted edge list into 2-paths, recursively: the
+    first edge is paired with each later edge sharing exactly one end with
+    it, in list order, and the rest is partitioned the same way."""
+    if not edges:
+        return [[]]
+    e, rest = edges[0], edges[1:]
+    out = []
+    for f in rest:
+        if len(set(g.edges[e]) & set(g.edges[f])) == 1:
+            tail = [h for h in rest if h != f]
+            out.extend([(e, f)] + p for p in two_path_partitions(g, tail))
+    return out

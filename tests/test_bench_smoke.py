@@ -37,3 +37,8 @@ def test_traced_bench_prints_one_json_result():
     # SubcubicStats field, so renaming, adding or removing a field, or a
     # library print to stdout, breaks the declared per-layer metric names
     _check_one_json_result("campaign-subcubic-min2", "--trace", "1", section="per_layer")
+
+
+def test_traced_color_bench_prints_one_json_result():
+    # the decompose->color path, traced: the same checks on its output line
+    _check_one_json_result("color-cubic-large", "--trace", "1", section="per_layer")

@@ -1,5 +1,10 @@
+import sys
+
+import networkx as nx
 import pytest
 
+import oracles
+from locirr import solver
 from locirr.decompose import (
     CLAW,
     SUBDIVIDED_CLAW,
@@ -11,6 +16,11 @@ from locirr.decompose import (
     pertinent_decomposition,
     strongly_pertinent_decomposition,
     two_path_decomposition,
+    _claw_candidates,
+    _claw_placements,
+    _component_colorable,
+    _subdivided_claw_placements,
+    _two_path_partitions,
     validate_decomposition,
 )
 from locirr.graph import Graph, GraphError, complete_graph, cycle_graph, path_graph, star_graph
@@ -20,6 +30,12 @@ BULL = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4)))
 # the smallest graph whose only pertinent decomposition uses K_{1,3}'':
 # a claw at the single degree-3 vertex leaves two isolated edges behind
 K13PP = Graph(6, ((0, 1), (0, 2), (0, 3), (2, 4), (3, 5)))
+# a decomposable graph on which one claw placement defeats the 4-color
+# element-uniform search; the builder must sidestep it
+CLAW_TRAP = Graph(
+    8,
+    ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7), (4, 6), (5, 7)),
+)
 
 
 class TestElement:
@@ -118,13 +134,7 @@ class TestPertinent:
             assert sum(weight[el.kind] for el in d.elements) == g.m
 
     def test_strong_pertinence_means_colorable_here(self):
-        # a decomposable graph on which one claw placement defeats the
-        # 4-color element-uniform search; the builder must sidestep it
-        g = Graph(
-            8,
-            ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7),
-             (3, 6), (3, 7), (4, 6), (5, 7)),
-        )
+        g = CLAW_TRAP
         assert chi_irr(g, 2).status == COLORED
         d = strongly_pertinent_decomposition(g)
         assert validate_decomposition(g, d, "strongly_pertinent").valid
@@ -200,3 +210,85 @@ class TestEnumeration:
             assert key not in seen
             seen.add(key)
         assert seen
+
+    def test_same_order_as_recursive_reference(self, subcubic_small):
+        total = 0
+        for g in subcubic_small:
+            if g.m % 2 == 0:
+                got = list(_two_path_partitions(g, list(range(g.m))))
+                assert got == oracles.two_path_partitions(g, list(range(g.m)))
+                total += len(got)
+        assert total == 912
+
+    def test_iterative_past_the_recursion_limit(self):
+        g = path_graph(3000)  # 1500 2-paths, more than the default limit of frames
+        assert sys.getrecursionlimit() < 1500
+        first = next(enumerate_two_path_decompositions(g))
+        assert [el.edges for el in first.elements] == [(e, e + 1) for e in range(0, 3000, 2)]
+
+
+def _list_order_colorable(g, elements) -> bool:
+    """The check's question answered by an unbudgeted search over the
+    elements in list order."""
+    groups = [el.edges for el in elements]
+    assignment, _ = solver.search_groups(
+        g, groups, 4, pair_ok=solver.central_pair_ok(elements)
+    )
+    return assignment is not None
+
+
+class TestColorabilityCheck:
+    def test_order_changes_no_answer(self, subcubic_small):
+        # every 2-path decomposition of an even graph, and every candidate
+        # the odd-component builder can try, claws and subdivided claws;
+        # CLAW_TRAP adds the one refuted candidate
+        checked = refuted = 0
+        for g in [*subcubic_small, CLAW_TRAP]:
+            if g.m % 2 == 0:
+                cases = [list(d.elements) for d in enumerate_two_path_decompositions(g)]
+            else:
+                comp = list(range(g.m))
+                cases = [
+                    els
+                    for placements in (_claw_placements, _subdivided_claw_placements)
+                    for els in _claw_candidates(g, comp, placements)
+                ]
+            for els in cases:
+                colorable = _component_colorable(g, els)
+                assert colorable == _list_order_colorable(g, els)
+                checked += 1
+                refuted += not colorable
+        assert (checked, refuted) == (2499, 1)
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        [
+            *((128, s) for s in range(5)),
+            *((256, s) for s in (0, 1, 3, 4)),
+            pytest.param(
+                256, 2,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the ordered check still runs past its 500,000-node "
+                    "budget on this graph",
+                ),
+            ),
+        ],
+    )
+    def test_random_cubic_within_budget(self, n, seed, monkeypatch):
+        overruns = []
+        search = solver.search_groups
+
+        def counted(*args, **kwargs):
+            try:
+                return search(*args, **kwargs)
+            except solver._Budget:
+                overruns.append(len(args[1]))  # elements searched
+                raise
+
+        monkeypatch.setattr(solver, "search_groups", counted)
+        h = nx.random_regular_graph(3, n, seed=seed)
+        g = Graph(n, tuple(h.edges()))
+        d = strongly_pertinent_decomposition(g)
+        assert validate_decomposition(g, d, "strongly_pertinent").valid
+        assert not overruns

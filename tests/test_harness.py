@@ -123,6 +123,8 @@ class TestFig6:
     def test_both_witnesses(self):
         g = fig6_instance()
         report = fig6_experiment()
+        # the witnesses are the first in enumeration order
+        assert report.decompositions_scanned == 3
         refuted = Decomposition.from_json(g, report.refuted.decomposition_json)
         assert validate_decomposition(g, refuted, "strongly_pertinent").valid
         res = element_uniform_search(g, refuted, 3, enforce_property_ii=False)
