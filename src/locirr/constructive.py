@@ -5,9 +5,11 @@ class where a color bound is known: subcubic graphs with a strongly pertinent
 decomposition (4 colors), fully subdivided multigraphs (2), balanced forests
 (2), parity-constrained graphs (4, or 6 in the exceptional-size case), and
 balanced bipartite graphs (4).  Proper edge-coloring (Vizing bound) is the
-endgame primitive.  Everything is verified before being returned; when a
-local extension rule does not apply, the subcubic colorer falls back to the
-exhaustive element-uniform search, and the fallback is counted.
+endgame primitive.  Fully subdivided multigraphs need no search: a local
+rule colors them thread by thread (maximal walks through base vertices of
+degree 2) in one linear pass.  Everything is verified before being returned;
+when a local extension rule does not apply, the subcubic colorer falls back
+to the exhaustive element-uniform search, and the fallback is counted.
 """
 
 from __future__ import annotations
@@ -337,211 +339,62 @@ def proper_edge_color(g: Graph) -> EdgeColoring:
 
 
 # -- fully subdivided multigraphs ---------------------------------------------
-#
-# A 2-coloring of the subdivision of a base multigraph is a per-base-edge
-# state (color at the u half, color at the v half).  Local irregularity of
-# the subdivision reduces to constraints at the original vertices only: a
-# half of color c belonging to a monochromatic edge forbids a total c-count
-# of 2 at its endpoint, a half of a split edge forbids a c-count of 1.
-
-_STATES = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-
-def _half_at(base: Graph, e: int, v: int, st) -> int:
-    return st[0] if v == base.edges[e][0] else st[1]
-
-
-def _halves_ok(halves) -> bool:
-    total = {1: 0, 2: 0}
-    forb = {1: set(), 2: set()}
-    for c, mono in halves:
-        total[c] += 1
-        forb[c].add(2 if mono else 1)
-    return total[1] not in forb[1] and total[2] not in forb[2]
-
-
-def _csp_states(base: Graph):
-    """Complete search over base-edge states: the locally irregular 2-color
-    search on the full subdivision, one position per edge half, base edges
-    in ``edge_order``."""
-    s = fully_subdivide(base)
-    halves = [(h,) for e in edge_order(base) for h in (2 * e, 2 * e + 1)]
-    assignment, _ = search_groups(s, halves, 2)
-    if assignment is None:
-        return None
-    colors = _assignment_to_coloring(s, halves, assignment, 2).colors
-    return [(colors[2 * e], colors[2 * e + 1]) for e in range(base.m)]
-
-
-def _fundamental_cycles(base: Graph):
-    """Cycles (vertex list, edge list) through each non-tree edge of a BFS
-    spanning tree; base must be connected with at least one edge."""
-    start = min(v for v in range(base.n) if base.degrees[v] > 0)
-    parent: dict[int, tuple[int, int]] = {}
-    depth = {start: 0}
-    tree_edges = set()
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for e, y in base.incidence[x]:
-            if y not in depth:
-                depth[y] = depth[x] + 1
-                parent[y] = (x, e)
-                tree_edges.add(e)
-                queue.append(y)
-    cycles = []
-    for e, (u, v) in enumerate(base.edges):
-        if e in tree_edges:
-            continue
-        pu, pv = [u], [v]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            a = parent[a][0]
-            pu.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b][0]
-            pv.append(b)
-        while a != b:
-            a = parent[a][0]
-            pu.append(a)
-            b = parent[b][0]
-            pv.append(b)
-        verts = pu + pv[:-1][::-1]
-        eids = [parent[x][1] for x in pu[:-1]]
-        eids += [parent[x][1] for x in reversed(pv[:-1])]
-        eids.append(e)
-        cycles.append((verts, eids))
-    return cycles
-
-
-def _extend_over_cycle(base: Graph, states, verts, eids) -> bool:
-    """Assign states to the cycle's edges so every cycle vertex stays valid
-    against its already-decided incident halves.  Cyclic DP over the four
-    edge states; writes into ``states`` and returns True on success."""
-    length = len(eids)
-    on_cycle = set(eids)
-    old: dict[int, list] = {}
-    for v in verts:
-        halves = []
-        for e, _ in base.incidence[v]:
-            if e in on_cycle:
-                continue
-            st = states[e]
-            halves.append((_half_at(base, e, v, st), st[0] == st[1]))
-        old[v] = halves
-
-    def ok(v, e_prev, st_prev, e_cur, st_cur):
-        halves = list(old[v])
-        for e, st in ((e_prev, st_prev), (e_cur, st_cur)):
-            halves.append((_half_at(base, e, v, st), st[0] == st[1]))
-        return _halves_ok(halves)
-
-    for s0 in _STATES:
-        layers: list[dict] = [{s0: None}]
-        dead = False
-        for i in range(1, length):
-            cur = {}
-            for sp in layers[-1]:
-                for sc in _STATES:
-                    if sc not in cur and ok(verts[i], eids[i - 1], sp, eids[i], sc):
-                        cur[sc] = sp
-            if not cur:
-                dead = True
-                break
-            layers.append(cur)
-        if dead:
-            continue
-        for slast in layers[-1]:
-            if ok(verts[0], eids[-1], slast, eids[0], s0):
-                seq = [slast]
-                for i in range(length - 1, 0, -1):
-                    seq.append(layers[i][seq[-1]])
-                seq.reverse()
-                for e, st in zip(eids, seq):
-                    states[e] = st
-                return True
-    return False
-
-
-def _connected_subdivision_states(base: Graph):
-    """States for one connected base component (not an odd cycle)."""
-    if base.m == 0:
-        return []
-    if base.is_cycle():
-        if base.m % 2:
-            raise GraphError(f"base component is an odd cycle of length {base.m}")
-        # walk the cycle, alternating monochromatic colors edge by edge
-        states = [None] * base.m
-        v, prev_e, color = 0, None, 1
-        for _ in range(base.m):
-            e = next(e for e, _ in base.incidence[v] if e != prev_e and states[e] is None)
-            states[e] = (color, color)
-            color = 3 - color
-            v = base.edges[e][0] if base.edges[e][1] == v else base.edges[e][1]
-            prev_e = e
-        return states
-    if base.m == base.n - 1:
-        # tree: the subdivision is a balanced forest with the subdivision
-        # vertices as the all-even side, monochromatic by the forest lemma
-        s = fully_subdivide(base)
-        b = Bipartition(
-            frozenset(range(base.n, base.n + base.m)), frozenset(range(base.n))
-        )
-        col = color_balanced_forest_2(s, b)
-        return [(col.colors[2 * e], col.colors[2 * e + 1]) for e in range(base.m)]
-    for verts, eids in _fundamental_cycles(base):
-        remainder = sorted(set(range(base.m)) - set(eids))
-        if remainder:
-            sub = base.subgraph(remainder)
-            if any(_component_is_odd_cycle(sub, comp) for comp in sub.components()):
-                continue
-            sub_states = _subdivision_states(sub)
-        else:
-            sub_states = []
-        states: list = [None] * base.m
-        for local, e in enumerate(remainder):
-            states[e] = sub_states[local]
-        if _extend_over_cycle(base, states, verts, eids):
-            return states
-    states = _csp_states(base)
-    if states is None:
-        raise GraphError("no 2-coloring of the subdivision exists (bug: component is not an odd cycle)")
-    return states
-
-
-def _component_is_odd_cycle(g: Graph, comp) -> bool:
-    eids = [e for e, (u, _) in enumerate(g.edges) if u in set(comp)]
-    return (
-        len(eids) == len(comp)
-        and len(eids) % 2 == 1
-        and all(sum(1 for e, _ in g.incidence[v] if e in set(eids)) == 2 for v in comp)
-    )
-
-
-def _subdivision_states(base: Graph):
-    states: list = [None] * base.m
-    for comp in base.components():
-        cset = set(comp)
-        eids = [e for e, (u, _) in enumerate(base.edges) if u in cset]
-        if not eids:
-            continue
-        sub = base.subgraph(eids)
-        sub_states = _connected_subdivision_states(sub)
-        for local, e in enumerate(sorted(eids)):
-            states[e] = sub_states[local]
-    return states
 
 
 def color_fully_subdivided_2(g_base: Graph) -> EdgeColoring:
     """2-color the full subdivision of a loopless multigraph, none of whose
-    components is an odd cycle (odd cycles are the sole obstruction)."""
-    states = _subdivision_states(g_base)
+    components is an odd cycle (odd cycles are the sole obstruction), in one
+    linear pass over threads.
+
+    Base edge e = (u, v) becomes halves 2e at u and 2e+1 at v.  Its
+    subdivision vertex has a c-count of 2 when e is monochromatic and 1 when
+    e is split, so a half of color c at base vertex x is safe iff x's c-count
+    is not 2 (e monochromatic) and not 1 (e split); nothing else constrains
+    the coloring.  A thread is a maximal walk through base vertices of
+    degree 2.
+
+    - Every half at a vertex of degree >= 3 gets color 1: the 1-count there
+      is at least 3, so each is safe.
+    - A leaf's half is safe iff its edge is monochromatic.
+    - A degree-2 vertex is safe iff both its edges are split with one color
+      there, or both are monochromatic with two colors.  So each thread is
+      all-split or all-monochromatic, and its colors alternate along it.
+    - A thread between two ends of degree >= 3 (possibly the same vertex)
+      starts with color 1 and must end with it.  Split (1|2, 2|1, ...), its
+      last far half is 1 iff it has an even number of edges; monochromatic
+      (1, 2, ..., 1), its last edge is 1 iff the number is odd.  One of the
+      two always applies.
+    - A thread with a leaf end is monochromatic, alternating from its other
+      end, which fixes color 1 there if that end has degree >= 3.
+    - A component that is a cycle has no thread end; its monochromatic edges
+      alternate, which closes up iff its length is even.  A split cycle
+      would alternate vertex colors and needs the same parity, so an odd
+      cycle has no 2-coloring at all and raises ``GraphError``.
+    """
+    deg = g_base.degrees
     colors = [0] * (2 * g_base.m)
-    for e in range(g_base.m):
-        colors[2 * e] = states[e][0]
-        colors[2 * e + 1] = states[e][1]
+    # threads from vertices of degree >= 3 first, then from leaves; what is
+    # left after those is a union of cycle components
+    for start in sorted(range(g_base.n), key=lambda v: (deg[v] < 3, deg[v])):
+        for e, _ in g_base.incidence[start]:
+            if colors[2 * e]:
+                continue
+            halves = []  # per thread edge, its half where the walk enters it
+            v = start
+            while True:
+                u, w = g_base.edges[e]
+                halves.append(2 * e + (v == w))
+                v = u if v == w else w
+                if deg[v] != 2 or v == start:
+                    break
+                e = next(f for f, _ in g_base.incidence[v] if f != e)
+            if deg[start] == 2 and len(halves) % 2:
+                raise GraphError(f"base component is an odd cycle of length {len(halves)}")
+            split = deg[start] >= 3 and deg[v] >= 3 and len(halves) % 2 == 0
+            for i, h in enumerate(halves):
+                c = 1 + i % 2
+                colors[h] = c
+                colors[h ^ 1] = 3 - c if split else c
     k = 2 if any(c == 2 for c in colors) else (1 if colors else 0)
     col = EdgeColoring(tuple(colors), k)
     assert verify_coloring(fully_subdivide(g_base), col).valid

@@ -81,9 +81,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency_masks[u] >> v & 1) if u != v else False
-
     # -- structure queries -------------------------------------------------
 
     def components(self) -> list[tuple[int, ...]]:
@@ -246,7 +243,10 @@ def parse_graph6(text: str) -> Graph:
     text = text.rstrip("\n")
     if not text:
         raise Graph6Error("empty input", 0)
-    data = text.encode("ascii", errors="replace")
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     for i, b in enumerate(data):
         if not (63 <= b <= 126):
             raise Graph6Error(f"byte {b!r} outside graph6 alphabet", i)

@@ -32,6 +32,10 @@ class TestChiIrr:
         code, _, err = run(capsys, "chi-irr", "C~~~")
         assert code == 3 and "error:" in err
 
+    def test_non_ascii_input(self, capsys):
+        code, out, err = run(capsys, "chi-irr", "Cé")
+        assert code == 3 and "non-ASCII" in err and not out
+
     def test_budget(self, capsys):
         code, out, _ = run(capsys, "chi-irr", K10, "--budget", "2")
         assert code == 4 and "budget-exhausted" in out

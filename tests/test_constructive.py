@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import networkx as nx
 import pytest
@@ -10,7 +12,6 @@ from locirr.constructive import (
     Bipartition,
     ParityPair,
     SubcubicStats,
-    _csp_states,
     color_balanced_4,
     color_balanced_forest_2,
     color_fully_subdivided_2,
@@ -233,14 +234,6 @@ class TestFullySubdivided2:
     def test_long_path_past_recursion_limit(self):
         self.check(path_graph(1500))
 
-    def test_complete_search_fallback(self):
-        # the exhaustive state search behind the cycle-extension route
-        for base in (complete_graph(4), Graph(2, ((0, 1),) * 3, multigraph=True)):
-            states = _csp_states(base)
-            colors = tuple(c for st in states for c in st)
-            col = EdgeColoring(colors, max(colors))
-            assert verify_coloring(fully_subdivide(base), col).valid
-
     def test_multigraph_bases(self):
         two_cycle = Graph(2, ((0, 1), (0, 1)), multigraph=True)
         self.check(two_cycle)
@@ -259,6 +252,63 @@ class TestFullySubdivided2:
         g = Graph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)))
         with pytest.raises(GraphError):
             color_fully_subdivided_2(g)
+
+    def test_random_cubic_base_with_10050_edges(self):
+        # one pass over threads: linear time, no recursion
+        h = nx.random_regular_graph(3, 6700, seed=0)
+        base = Graph(6700, tuple(h.edges()))
+        assert base.m == 10_050 and sys.getrecursionlimit() <= 1000
+        start = time.perf_counter()
+        col = color_fully_subdivided_2(base)
+        assert time.perf_counter() - start < 2.0
+        assert col.k <= 2 and verify_coloring(fully_subdivide(base), col).valid
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_random_bases(self, rng):
+        base = _random_base(rng)
+        mg = nx.MultiGraph(base.edges)
+        mg.add_nodes_from(range(base.n))
+        odd_cycle = any(
+            len(comp) % 2 and all(mg.degree(v) == 2 for v in comp)
+            for comp in nx.connected_components(mg)
+        )
+        s = fully_subdivide(base)
+        if odd_cycle:
+            with pytest.raises(GraphError, match="odd cycle"):
+                color_fully_subdivided_2(base)
+        else:
+            col = self.check(base)
+        if s.m <= 20:
+            exact = chi_irr(s, 2)
+            assert (exact.status == COLORED) == (not odd_cycle)
+            if not odd_cycle:
+                assert exact.k <= col.k
+
+
+def _random_base(rng: random.Random) -> Graph:
+    """A loopless multigraph with at most 14 vertices and 20 edges, built from
+    random pieces: blobs of random edges (parallel ones included), cycles of
+    length 2 to 5, and paths hanging off earlier vertices."""
+    n, edges = 0, []
+    for _ in range(rng.randint(1, 5)):
+        size = rng.randint(2, 5)
+        if n + size > 14:
+            break
+        new = list(range(n, n + size))
+        kind = rng.choice(("blob", "cycle", "pendant"))
+        if kind == "blob":
+            piece = [tuple(rng.sample(new, 2)) for _ in range(rng.randint(1, 2 * size))]
+        elif kind == "cycle":
+            piece = list(zip(new, new[1:] + new[:1]))
+        else:
+            path = [rng.randrange(n)] + new if n else new
+            piece = list(zip(path, path[1:]))
+        if len(edges) + len(piece) > 20:
+            break
+        n += size
+        edges += piece
+    return Graph(n, tuple(edges), multigraph=True)
 
 
 class TestBalanced4:

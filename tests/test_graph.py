@@ -110,6 +110,13 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("C\x01")  # out-of-range byte
 
+    @pytest.mark.parametrize("text, offset", [("Cé", 1), ("é", 0), ("C~\u2603", 2)])
+    def test_non_ascii_rejected(self, text, offset):
+        # never replaced by "?", which is itself a graph6 byte
+        with pytest.raises(Graph6Error, match="non-ASCII") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
+
     def test_multigraph_rejected(self):
         g = Graph(2, ((0, 1), (1, 0)), multigraph=True)
         with pytest.raises(GraphError):
