@@ -208,8 +208,11 @@ def cmd_campaign(args) -> int:
         return BUDGET
     print(report.to_json())
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.histogram_csv())
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write(report.histogram_csv())
+        except OSError as exc:
+            raise GraphError(f"cannot write --csv {args.csv!r}: {exc}") from exc
     return OK if report.passed else NEGATIVE
 
 
@@ -241,8 +244,14 @@ def cmd_export_dot(args) -> int:
     return OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error; 2 means a negative answer
+        self.print_usage(sys.stderr)
+        self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="locirr", description="locally irregular edge-coloring toolkit"
     )
     sub = ap.add_subparsers(dest="command", required=True)

@@ -542,8 +542,8 @@ def color_subcubic_4(
     which uncolors one incident 2-path and places the two jointly.  Every
     rule checks local irregularity and the central pair rule only at the
     vertices of the elements it changed.  Any failure goes to the exhaustive
-    element-uniform search, whose success is guaranteed for strongly
-    pertinent inputs; fallbacks are counted in ``stats``.
+    element-uniform search, counted in ``stats``; it raises on a refutation,
+    which strong pertinence does not rule out (CLAW_TRAP in the tests).
     """
     if max(g.degrees, default=0) > 3:
         raise GraphError("color_subcubic_4 requires maximum degree at most 3")

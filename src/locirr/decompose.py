@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 
 from .graph import Graph, GraphError
 
 TWO_PATH = "2path"
 CLAW = "claw"
 SUBDIVIDED_CLAW = "subdivided_claw"
+CHECK_BUDGET = 500_000  # search nodes of one _component_colorable check
 
 
 class DecompositionError(GraphError):
@@ -90,9 +91,8 @@ class Decomposition:
             items = [tuple(int(e) for e in item["edges"]) for item in data["elements"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad decomposition JSON: {exc}") from exc
-        for edges in items:
-            if any(not 0 <= e < g.m for e in edges):
-                raise GraphError(f"element {edges} names an edge outside 0..{g.m - 1}")
+        if sorted(e for edges in items for e in edges) != list(range(g.m)):
+            raise GraphError(f"elements do not partition the edges 0..{g.m - 1}")
         return Decomposition(tuple(Element.from_edges(g, edges) for edges in items), g)
 
 
@@ -181,77 +181,82 @@ def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def two_path_decomposition(g: Graph) -> Decomposition:
-    """Partition the edges into 2-paths, component by component."""
-    elements = []
+def _decompose(g: Graph, build_odd) -> Decomposition:
+    """Pair each even component into 2-paths by ``_pair_component``; hand each
+    odd one to ``build_odd(g, comp)``, which returns its elements."""
+    elements: list[Element] = []
     for comp in _edge_components(g, range(g.m)):
         if len(comp) % 2:
-            verts = sorted({v for e in comp for v in g.edges[e]})
-            raise DecompositionError(
-                f"component on vertices {verts} has odd size {len(comp)}"
-            )
-        for a, b in _pair_component(g, comp):
-            elements.append(Element.from_edges(g, (a, b)))
+            elements.extend(build_odd(g, comp))
+        else:
+            elements.extend(Element.from_edges(g, pair) for pair in _pair_component(g, comp))
     return Decomposition(tuple(sorted(elements, key=lambda el: el.edges)), g)
+
+
+def _reject_odd_component(g: Graph, comp: list[int]) -> list[Element]:
+    verts = sorted({v for e in comp for v in g.edges[e]})
+    raise DecompositionError(f"component on vertices {verts} has odd size {len(comp)}")
+
+
+def two_path_decomposition(g: Graph) -> Decomposition:
+    """Partition the edges into 2-paths, component by component."""
+    return _decompose(g, _reject_odd_component)
 
 
 # -- claw placements ----------------------------------------------------------
 
 
+def _claw_trios(inc: dict[int, list[tuple[int, int]]]):
+    """Each center with three of its (edge, leaf) pairs at distinct leaves,
+    in ascending (center, leaves) order."""
+    for center in sorted(inc):
+        for trio in combinations(sorted(inc[center], key=lambda x: (x[1], x[0])), 3):
+            if len({u for _, u in trio}) == 3:
+                yield center, trio
+
+
 def _claw_placements(g: Graph, comp: list[int]):
     """K_{1,3} edge triples within an edge set, ascending (center, leaves)."""
-    inc = _incidence(g, comp)
-    for center in sorted(inc):
-        if len(inc[center]) < 3:
-            continue
-        for trio in combinations(sorted(inc[center], key=lambda x: (x[1], x[0])), 3):
-            leaves = [u for _, u in trio]
-            if len(set(leaves)) == 3:
-                yield tuple(sorted(e for e, _ in trio))
+    for _, trio in _claw_trios(_incidence(g, comp)):
+        yield tuple(sorted(e for e, _ in trio))
 
 
 def _subdivided_claw_placements(g: Graph, comp: list[int]):
     """K_{1,3}'' edge quintuples within an edge set, deterministic order."""
     inc = _incidence(g, comp)
     seen = set()
-    for center in sorted(inc):
-        if len(inc[center]) < 3:
-            continue
-        for trio in combinations(sorted(inc[center], key=lambda x: (x[1], x[0])), 3):
-            leaves = [u for _, u in trio]
-            if len(set(leaves)) != 3:
-                continue
-            # pick the direct leaf; the other two legs get extended by one edge
-            for ai in range(3):
-                ea, a = trio[ai]
-                (eb, b), (ec, c) = [trio[i] for i in range(3) if i != ai]
-                for eb2, b2 in sorted(inc.get(b, []), key=lambda x: (x[1], x[0])):
-                    if eb2 == eb or b2 in (center, a, c):
+    for center, trio in _claw_trios(inc):
+        # pick the direct leaf; the other two legs get extended by one edge
+        for ai in range(3):
+            ea, a = trio[ai]
+            (eb, b), (ec, c) = [trio[i] for i in range(3) if i != ai]
+            for eb2, b2 in sorted(inc.get(b, []), key=lambda x: (x[1], x[0])):
+                if eb2 == eb or b2 in (center, a, c):
+                    continue
+                for ec2, c2 in sorted(inc.get(c, []), key=lambda x: (x[1], x[0])):
+                    if ec2 == ec or ec2 == eb2 or c2 in (center, a, b, b2):
                         continue
-                    for ec2, c2 in sorted(inc.get(c, []), key=lambda x: (x[1], x[0])):
-                        if ec2 == ec or ec2 == eb2 or c2 in (center, a, b, b2):
-                            continue
-                        key = tuple(sorted((ea, eb, ec, eb2, ec2)))
-                        if key not in seen:
-                            seen.add(key)
-                            yield key
+                    key = tuple(sorted((ea, eb, ec, eb2, ec2)))
+                    if key not in seen:
+                        seen.add(key)
+                        yield key
 
 
-def _component_colorable(g: Graph, elements: list[Element], node_budget: int = 500_000) -> bool:
+def _component_colorable(g: Graph, elements: list[Element]) -> bool:
     """Can these elements be colored uniformly with at most 4 colors, locally
     irregular, with same-colored incident elements meeting only at vertices
     central for one of them?
 
     The search branches over the elements in ``solver.in_edge_order``, the
-    vertex-completion order of every exact search.  It is budgeted: an
-    overrun counts as colorable.  Without an overrun the answer does not
-    depend on the order."""
+    vertex-completion order of every exact search.  It is budgeted
+    (``CHECK_BUDGET``): an overrun counts as colorable.  Without an
+    overrun the answer does not depend on the order."""
     from .solver import _Budget, central_pair_ok, in_edge_order, search_groups
 
     els = in_edge_order(g, elements)
     try:
         assignment, _ = search_groups(
-            g, [el.edges for el in els], 4, pair_ok=central_pair_ok(els), node_budget=node_budget
+            g, [el.edges for el in els], 4, pair_ok=central_pair_ok(els), node_budget=CHECK_BUDGET
         )
     except _Budget:
         return True
@@ -289,23 +294,6 @@ def _two_path_partitions(g: Graph, unused: list[int]):
             return
 
 
-def _even_component_elements(g: Graph, comp: list[int]) -> list[Element]:
-    """2-paths for an even component, preferring a 4-colorable pairing.
-
-    The spanning-tree pairing comes first; if its element coloring is refuted
-    (rare, but a decomposition can pin the colorer down), alternative pairings
-    are tried in deterministic order before giving up on colorability.
-    """
-    default = [Element.from_edges(g, pr) for pr in _pair_component(g, comp)]
-    if _component_colorable(g, default):
-        return default
-    for pairs in islice(_two_path_partitions(g, sorted(comp)), 20_000):
-        els = [Element.from_edges(g, pr) for pr in pairs]
-        if _component_colorable(g, els):
-            return els
-    return default
-
-
 def _claw_candidates(g: Graph, comp: list[int], placements):
     """For each placement from ``placements(g, comp)`` whose residual edge
     components are all even: the placed element, then the spanning-tree
@@ -320,7 +308,7 @@ def _claw_candidates(g: Graph, comp: list[int], placements):
         ]
 
 
-def _build_odd_component(g: Graph, comp: list[int]) -> tuple[list[Element], bool]:
+def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
     """Decompose an odd-size component: one claw-type element plus 2-paths.
 
     Plain claws are tried before any subdivided claw, so K_{1,3}'' appears
@@ -329,33 +317,26 @@ def _build_odd_component(g: Graph, comp: list[int]) -> tuple[list[Element], bool
     elements admit a 4-color element-uniform coloring wins; not every
     pertinent decomposition does, so shape alone is not enough.
     """
-    for placements, used_k13pp in ((_claw_placements, False), (_subdivided_claw_placements, True)):
+    for placements in (_claw_placements, _subdivided_claw_placements):
         first: list[Element] | None = None
         for elements in _claw_candidates(g, comp, placements):
             if first is None:
                 first = elements
             if _component_colorable(g, elements):
-                return elements, used_k13pp
+                return elements
         if first is not None:
             # every placement of this claw kind is refutable; keep the shape
             # anyway (strong pertinence fixes the claw kind, not the coloring)
-            return first, used_k13pp
+            return first
     raise DecompositionError(
         "no pertinent decomposition exists for an odd component; input is likely not decomposable"
     )
 
 
 def pertinent_decomposition(g: Graph) -> Decomposition:
-    """A pertinent decomposition of a decomposable graph: 2-paths everywhere,
-    plus one claw-type element per odd-size component."""
-    elements: list[Element] = []
-    for comp in _edge_components(g, range(g.m)):
-        if len(comp) % 2 == 0:
-            elements.extend(_even_component_elements(g, comp))
-        else:
-            els, _ = _build_odd_component(g, comp)
-            elements.extend(els)
-    return Decomposition(tuple(sorted(elements, key=lambda el: el.edges)), g)
+    """A pertinent decomposition of a decomposable graph: spanning-tree 2-paths
+    on even-size components, one claw-type element plus 2-paths on odd ones."""
+    return _decompose(g, _build_odd_component)
 
 
 def strongly_pertinent_decomposition(g: Graph) -> Decomposition:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .decompose import Decomposition
-from .graph import Graph
+from .graph import Graph, GraphError
 from .irregularity import EdgeColoring
 
 _PALETTE = (
@@ -21,9 +21,11 @@ def export_dot(
     coloring: EdgeColoring | None = None,
     decomposition: Decomposition | None = None,
 ) -> str:
-    """Render the graph as DOT text.  A coloring paints edges by color class;
-    a decomposition labels edges by element index and dashes claw-type
-    elements."""
+    """Render the graph as DOT text.  A coloring, one color per edge, paints
+    edges by color class; a decomposition labels edges by element index and
+    dashes claw-type elements."""
+    if coloring is not None and len(coloring.colors) != g.m:
+        raise GraphError(f"coloring has {len(coloring.colors)} entries for {g.m} edges")
     lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")

@@ -14,7 +14,8 @@ from .decompose import (
     enumerate_two_path_decompositions,
     strongly_pertinent_decomposition,
 )
-from .enumerate import GraphClassFilter, enumerate_graphs, enumerate_trees
+from .enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, GraphClassFilter
+from .enumerate import enumerate_graphs, enumerate_trees
 from .graph import Graph, GraphError, cube_graph, write_graph6
 from .irregularity import EdgeColoring
 from .solver import (
@@ -79,9 +80,9 @@ class CampaignReport:
 
 
 FAMILIES = {
-    "cubic": GraphClassFilter(regular=3, connected=True),
-    "subcubic": GraphClassFilter(max_degree=3, connected=True),
-    "subcubic-min2": GraphClassFilter(max_degree=3, min_degree=2, connected=True),
+    "cubic": CUBIC,
+    "subcubic": SUBCUBIC,
+    "subcubic-min2": SUBCUBIC_MIN2,
     "all": GraphClassFilter(connected=True),
 }
 
@@ -123,13 +124,16 @@ def _worker(args):
 
 
 def _load_checkpoint(path: str, params: dict):
-    if not path or not os.path.exists(path):
+    if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("version") != CHECKPOINT_VERSION or data.get("params") != params:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise GraphError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         return None
-    return data
+    return data if data.get("params") == params else None
 
 
 def _save_checkpoint(path: str, params: dict, done_n: int, report: CampaignReport):
@@ -143,9 +147,12 @@ def _save_checkpoint(path: str, params: dict, done_n: int, report: CampaignRepor
         "exceeders": sorted(report.exceeders),
     }
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise GraphError(f"cannot write checkpoint {path!r}: {exc}") from exc
 
 
 def run_campaign(

@@ -118,6 +118,36 @@ class TestPipelines:
         code, _, err = run(capsys, *argv)
         assert code == 3 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("export-dot", "C~", "--coloring", '{"k": 1, "colors": [1, 1, 1, 1, 1]}'),
+            ("export-dot", "C~", "--coloring", '{"k": 1, "colors": [1, 1, 1, 1, 1, 1, 1]}'),
+            ("export-dot", "C~", "--decomposition", '{"elements": [{"edges": [0, 1]}]}'),
+            (
+                "export-dot", "C~", "--decomposition",
+                '{"elements": [{"edges": [0, 1]}, {"edges": [0, 1]}, {"edges": [2, 5]}]}',
+            ),
+        ],
+    )
+    def test_export_dot_checks_overlays(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and "error:" in err and not out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chi-irr", "C~", "--k-max", "abc"),
+            ("campaign", "--family", "nope", "--max-n", "4", "--bound", "3"),
+            (),
+        ],
+    )
+    def test_usage_error_is_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_decompose_odd_cycle(self, capsys):
         code, out, _ = run(capsys, "decompose", "DUW", "--mode", "2path")
         assert code == 2 and "no decomposition" in out
@@ -162,6 +192,32 @@ class TestCampaignCli:
         )
         assert code == 2
         assert json.loads(out)["exceeders"] == ["C~"]
+
+
+    def _campaign(self, capsys, *extra):
+        return run(
+            capsys, "campaign", "--family", "cubic", "--max-n", "4", "--bound", "3", *extra
+        )
+
+    def test_checkpoint_not_json(self, capsys, tmp_path):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text("not json")
+        code, _, err = self._campaign(capsys, "--checkpoint", str(ckpt))
+        assert code == 3 and str(ckpt) in err
+
+    def test_checkpoint_is_directory(self, capsys, tmp_path):
+        code, _, err = self._campaign(capsys, "--checkpoint", str(tmp_path))
+        assert code == 3 and str(tmp_path) in err
+
+    def test_checkpoint_in_missing_directory(self, capsys, tmp_path):
+        ckpt = tmp_path / "missing" / "ckpt.json"
+        code, _, err = self._campaign(capsys, "--checkpoint", str(ckpt))
+        assert code == 3 and str(ckpt) in err
+
+    def test_csv_in_missing_directory(self, capsys, tmp_path):
+        csv = tmp_path / "missing" / "hist.csv"
+        code, _, err = self._campaign(capsys, "--csv", str(csv))
+        assert code == 3 and str(csv) in err
 
 
 class TestFigures:

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import networkx as nx
@@ -19,10 +20,12 @@ from locirr.decompose import (
     _claw_candidates,
     _claw_placements,
     _component_colorable,
+    _edge_components,
     _subdivided_claw_placements,
     _two_path_partitions,
     validate_decomposition,
 )
+from locirr.enumerate import SUBCUBIC, enumerate_graphs
 from locirr.graph import Graph, GraphError, complete_graph, cycle_graph, path_graph, star_graph
 from locirr.solver import COLORED, chi_irr, element_uniform_search
 
@@ -67,6 +70,12 @@ class TestElement:
     def test_json_round_trip(self):
         d = pertinent_decomposition(BULL)
         assert Decomposition.from_json(BULL, d.to_json()) == d
+
+    @pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1], [0, 1], [2, 3]], [[0, 1], [2, 4]]])
+    def test_json_must_partition(self, edges):
+        text = json.dumps({"elements": [{"edges": e} for e in edges]})
+        with pytest.raises(GraphError, match="partition"):
+            Decomposition.from_json(cycle_graph(4), text)
 
 
 class TestTwoPath:
@@ -260,30 +269,43 @@ class TestColorabilityCheck:
                 refuted += not colorable
         assert (checked, refuted) == (2499, 1)
 
-    @pytest.mark.parametrize(
-        "n, seed",
-        [
-            *((128, s) for s in range(5)),
-            *((256, s) for s in (0, 1, 3, 4)),
-            pytest.param(
-                256, 2,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the ordered check still runs past its 500,000-node "
-                    "budget on this graph",
-                ),
-            ),
-        ],
-    )
-    def test_random_cubic_within_budget(self, n, seed, monkeypatch):
-        overruns = []
+    def test_every_even_subcubic_decomposition_colorable(self):
+        # why the builder takes the spanning-tree pairing of an even
+        # component as built: no 2-path decomposition of an even-size
+        # connected subcubic graph with n <= 10 is refuted
+        checked = 0
+        for n in range(1, 11):
+            for g in enumerate_graphs(n, SUBCUBIC):
+                if g.m == 0 or g.m % 2:
+                    continue
+                for d in enumerate_two_path_decompositions(g):
+                    assert _list_order_colorable(g, list(d.elements))
+                    checked += 1
+        assert checked == 12_005
+
+    def test_odd_component_is_checked(self, monkeypatch):
+        calls = []
         search = solver.search_groups
 
         def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "search_groups", counted)
+        strongly_pertinent_decomposition(CLAW_TRAP)
+        assert len(calls) >= 2  # the first claw candidate is refuted
+
+    @pytest.mark.parametrize("n, seed", [(n, s) for n in (128, 256) for s in range(5)])
+    def test_random_cubic_within_budget(self, n, seed, monkeypatch):
+        calls, overruns = [], []
+        search = solver.search_groups
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))  # elements searched
             try:
                 return search(*args, **kwargs)
             except solver._Budget:
-                overruns.append(len(args[1]))  # elements searched
+                overruns.append(len(args[1]))
                 raise
 
         monkeypatch.setattr(solver, "search_groups", counted)
@@ -292,3 +314,15 @@ class TestColorabilityCheck:
         d = strongly_pertinent_decomposition(g)
         assert validate_decomposition(g, d, "strongly_pertinent").valid
         assert not overruns
+        if all(len(c) % 2 == 0 for c in _edge_components(g, range(g.m))):
+            assert not calls
+
+
+def test_decompose_at_ten_thousand_edges():
+    # a polynomial path: m = 10,050 under the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    h = nx.random_regular_graph(3, 6700, seed=0)
+    g = Graph(6700, tuple(h.edges()))
+    d = strongly_pertinent_decomposition(g)
+    assert validate_decomposition(g, d, "strongly_pertinent").valid
+    assert len(d.elements) == g.m // 2

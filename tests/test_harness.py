@@ -4,7 +4,7 @@ import pytest
 
 from locirr import harness
 from locirr.decompose import Decomposition, validate_decomposition
-from locirr.enumerate import enumerate_trees
+from locirr.enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, enumerate_trees
 from locirr.graph import GraphError, parse_graph6, write_graph6
 from locirr.harness import (
     BudgetExhausted,
@@ -84,6 +84,19 @@ class TestCampaign:
         run_campaign("cubic", 6, 3, checkpoint=ckpt)
         report = run_campaign("cubic", 6, 2, checkpoint=ckpt)  # different bound
         assert report.per_n == {4: 1, 6: 2}
+
+    def test_checkpoint_not_an_object_is_replaced(self, tmp_path):
+        # JSON that is not a checkpoint object is treated like a checkpoint
+        # of other parameters: ignored, then overwritten
+        ckpt = tmp_path / "campaign.json"
+        ckpt.write_text("[1, 2]")
+        assert run_campaign("cubic", 4, 3, checkpoint=str(ckpt)).per_n == {4: 1}
+        assert json.loads(ckpt.read_text())["done_n"] == 4
+
+    def test_families_are_the_enumerate_filters(self):
+        assert harness.FAMILIES["cubic"] is CUBIC
+        assert harness.FAMILIES["subcubic"] is SUBCUBIC
+        assert harness.FAMILIES["subcubic-min2"] is SUBCUBIC_MIN2
 
     def test_histogram_csv(self):
         report = run_campaign("cubic", 6, 3)
