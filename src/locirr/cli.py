@@ -32,6 +32,7 @@ from .graph import Graph, GraphError, parse_graph6, write_graph6
 from .harness import (
     BudgetExhausted,
     FAMILIES,
+    check_output_dir,
     fig6_experiment,
     find_tree_needing_3,
     run_campaign,
@@ -190,6 +191,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    if args.csv:
+        check_output_dir(args.csv, "--csv")
     try:
         report = run_campaign(
             args.family,

@@ -3,11 +3,15 @@
 Connected graphs are built one vertex at a time (every prefix connected),
 with degree-target pruning for the cubic/subcubic families.  Duplicates are
 never made: a child is kept only when its new vertex is the canonically
-chosen one to delete (McKay's canonical construction path).  Each child
-passes three tests, cheapest first: the (degree, sorted neighbor degrees)
-profile, the cell order of ``graph.root_partition``, and only then the
-automorphism orbits from ``graph.canon_adjacency``, which starts its search
-from that same partition.
+chosen one to delete (McKay's canonical construction path).  Per parent, the
+subset sizes that cannot give a canonical child are skipped (see
+``_connected_masks``).  Each child is rejected by the first of four tests,
+cheapest first, that decides: the degrees of the non-cut vertices against
+the new vertex's, the sorted neighbor degrees of those of equal degree, the
+cell order of ``graph.equitable_partition``, and the cell order of its
+``graph.distance_split``, the root partition.  A child that passes all four
+is decided by the automorphism orbits from ``graph.canon_adjacency``, whose
+search starts from that root partition.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph, GraphError, canon_adjacency, root_partition
+from .graph import Graph, GraphError, canon_adjacency, distance_split, equitable_partition
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,13 @@ def _is_bipartite_masks(masks) -> bool:
 
 
 def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
-    """Can this prefix still extend to an n-vertex graph with degrees in [lo, hi]?"""
+    """Can this prefix still extend to a connected n-vertex graph with
+    degrees in [lo, hi]?
+
+    Among other bounds: each of the r vertices still to come has at most
+    r - 1 later neighbors, so at least lo - r + 1 in the prefix, and a
+    connected graph joins the prefix to them by at least one edge; the
+    prefix's spare degree sum(hi - d) must cover both."""
     r = n - len(masks)
     need_total = 0
     deficit_total = 0
@@ -94,6 +104,8 @@ def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
             need_total += need
         deficit_total += hi - d
     if need_total > hi * r:
+        return False
+    if r and deficit_total < max(1, r * (lo - r + 1)):
         return False
     if regular:
         if deficit_total > hi * r:
@@ -131,6 +143,18 @@ def _connected_without(masks, v: int) -> bool:
     return seen == rest
 
 
+def _top_noncut_degree(masks, degs) -> int:
+    """The largest degree of a non-cut vertex of a connected graph."""
+    by_degree = sorted(range(len(masks)), key=degs.__getitem__, reverse=True)
+    return next(degs[v] for v in by_degree if _connected_without(masks, v))
+
+
+def _later_cells(cells, k: int) -> int:
+    """The vertices in the cells of ``cells`` after the one holding ``k``."""
+    at = next(i for i, c in enumerate(cells) if c >> k & 1)
+    return sum(cells[at + 1 :])
+
+
 def _canonical_child(child, degs) -> tuple[int, ...] | None:
     """Canonical key of ``child`` (degrees ``degs``) if its last vertex k
     was added canonically.
@@ -138,36 +162,51 @@ def _canonical_child(child, degs) -> tuple[int, ...] | None:
     The canonical vertex to delete is chosen among the non-cut vertices:
     first by the largest (degree, sorted neighbor degrees), then by the
     largest orbit id of ``canon_adjacency``.  The child is accepted iff k
-    lies in that orbit; None means rejected.  Orbit ids follow the order of
-    the cells of ``root_partition``, so a tied vertex in a later root cell
-    than k rejects the child before any search; otherwise the root
-    partition is handed to the labeler.
+    lies in that orbit; None means rejected.  Four stages, cheapest first:
+    degrees alone (a non-cut vertex of higher degree rejects, one of lower
+    degree is passed over); neighbor degrees for the vertices of k's degree;
+    the cell order of ``equitable_partition``; and the cell order of its
+    ``distance_split``, the root partition, which is then handed to the
+    labeler.  Orbit ids follow the order of the root cells, and the root
+    partition refines the equitable one in its cell order, so a tied vertex
+    in a later cell than k of either partition rejects the child.
     """
     k = len(child) - 1
 
-    def profile(v):
+    def nbr_degrees(v):
         mv, nd = child[v], []
         while mv:
             low = mv & -mv
             nd.append(degs[low.bit_length() - 1])
             mv ^= low
-        return degs[v], sorted(nd)
+        return sorted(nd)
 
-    mine = profile(k)
-    ties = []
+    dk = degs[k]
+    mine = None
+    ties = 0
     for v in range(k):
-        p = profile(v)
-        if p >= mine and _connected_without(child, v):
-            if p > mine:
+        if degs[v] < dk:
+            continue
+        higher = degs[v] > dk
+        if not higher:
+            if mine is None:
+                mine = nbr_degrees(k)
+            nd = nbr_degrees(v)
+            if nd < mine:
+                continue
+            higher = nd > mine
+        if _connected_without(child, v):
+            if higher:
                 return None
-            ties.append(v)
-    root = root_partition(child)
-    mine_at = next(i for i, c in enumerate(root) if c >> k & 1)
-    later = sum(root[mine_at + 1 :])
-    if any(later >> v & 1 for v in ties):
+            ties |= 1 << v
+    cells = equitable_partition(child)
+    if _later_cells(cells, k) & ties:
         return None
-    key, orbit = canon_adjacency(child, root)
-    if any(orbit[v] > orbit[k] for v in ties):
+    cells = distance_split(child, cells)
+    if _later_cells(cells, k) & ties:
+        return None
+    key, orbit = canon_adjacency(child, cells)
+    if any(ties >> v & 1 and orbit[v] > orbit[k] for v in range(k)):
         return None
     return key
 
@@ -179,7 +218,10 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
     Canonical construction path (McKay 1998): every graph is built from its
     canonical parent only, the graph minus its canonical non-cut vertex, so
     no table spans parents; one set of keys per parent drops children that
-    the parent's automorphisms make equal."""
+    the parent's automorphisms make equal.  A non-cut vertex of the parent
+    with the largest degree ``top`` stays non-cut in every child whose new
+    vertex has two or more neighbors, and outranks a new vertex of lower
+    degree, so the subset sizes 2 .. top-1 are never tried."""
     if n < 1:
         return []
     level: list[tuple[int, ...]] = [(0,)]
@@ -194,8 +236,9 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
                 continue
             twins = _twin_classes(masks, eligible)
             keys: set[tuple[int, ...]] = set()
+            top = _top_noncut_degree(masks, degs)
             max_d = min(hi, len(eligible))
-            for d in range(1, max_d + 1):
+            for d in [1, *range(max(2, top), max_d + 1)]:
                 for subset in combinations(eligible, d):
                     chosen = set(subset)
                     ok = True

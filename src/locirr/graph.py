@@ -404,20 +404,24 @@ def _distance_profile(masks: Sequence[int], v: int) -> tuple[int, ...]:
         out.append(frontier.bit_count())
 
 
-def root_partition(masks: Sequence[int]) -> list[int]:
-    """The equitable ordered partition the labeling search starts from.
-
-    One cell refined against the all-vertices splitter splits by degree.
-    Cells that still tie are split by distance profile, which separates
-    many vertices of regular graphs that degree leaves in one cell, and
-    refined again.  Both steps are isomorphism invariant: relabeling the
-    graph relabels the cells and keeps their order.
-    """
+def equitable_partition(masks: Sequence[int]) -> list[int]:
+    """The coarsest equitable ordered partition: one cell refined against
+    the all-vertices splitter, which splits it by degree first."""
     n = len(masks)
     if n == 0:
         return []
-    cells = _refine(masks, [(1 << n) - 1], [(1 << n) - 1])
-    if len(cells) < n:
+    return _refine(masks, [(1 << n) - 1], [(1 << n) - 1])
+
+
+def distance_split(masks: Sequence[int], cells: list[int]) -> list[int]:
+    """Split the tied cells of the equitable partition ``cells`` by distance
+    profile, refine again, and return it; ``cells`` is changed in place.
+
+    Distance profiles separate many vertices of regular graphs that degree
+    leaves in one cell.  Every cell is replaced by its fragments where it
+    stood, so the result refines ``cells`` and keeps its cell order.
+    """
+    if len(cells) < len(masks):
         by_profile: dict[tuple[int, ...], int] = {}
         for c in cells:
             if c & (c - 1):
@@ -428,6 +432,15 @@ def root_partition(masks: Sequence[int]) -> list[int]:
         _split(cells, [by_profile[p] for p in sorted(by_profile)], splitters)
         _refine(masks, cells, splitters)
     return cells
+
+
+def root_partition(masks: Sequence[int]) -> list[int]:
+    """The equitable ordered partition the labeling search starts from:
+    ``equitable_partition`` split by ``distance_split``.  Both steps are
+    isomorphism invariant: relabeling the graph relabels the cells and
+    keeps their order.
+    """
+    return distance_split(masks, equitable_partition(masks))
 
 
 def _individualize(masks: Sequence[int], cells: list[int], t: int, v: int) -> list[int]:

@@ -155,6 +155,13 @@ def _save_checkpoint(path: str, params: dict, done_n: int, report: CampaignRepor
         raise GraphError(f"cannot write checkpoint {path!r}: {exc}") from exc
 
 
+def check_output_dir(path: str, what: str) -> None:
+    """Raise GraphError unless the directory that is to hold ``path`` exists."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise GraphError(f"cannot write {what} {path!r}: no directory {folder!r}")
+
+
 def run_campaign(
     family: GraphClassFilter | str,
     n_max: int,
@@ -185,7 +192,10 @@ def run_campaign(
     }
     report = CampaignReport(name, n_max, bound, method)
     start_n = 1
-    state = _load_checkpoint(checkpoint, params) if checkpoint else None
+    state = None
+    if checkpoint:
+        check_output_dir(checkpoint, "checkpoint")
+        state = _load_checkpoint(checkpoint, params)
     if state is not None:
         report.per_n = {int(k): v for k, v in state["per_n"].items()}
         report.non_decomposable = {

@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code with the package beyond the Graph container; every
-check is a direct transcription of the relevant definition.
+check is a direct transcription of the relevant definition.  The one
+exception is the reference enumerator at the end: it is the earlier,
+slower rejection order of the canonical construction path, so it runs on
+the package's labeler and its unchanged mask helpers.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from locirr.graph import Graph
+from locirr.enumerate import _connected_without, _is_bipartite_masks, _twin_classes
+from locirr.graph import Graph, canon_adjacency, root_partition
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -186,3 +190,113 @@ def two_path_partitions(g: Graph, edges: list[int]) -> list[list[tuple[int, int]
             tail = [h for h in rest if h != f]
             out.extend([(e, f)] + p for p in two_path_partitions(g, tail))
     return out
+
+
+# -- reference enumerator --------------------------------------------------------
+#
+# The level loop and child test of ``locirr.enumerate`` before children were
+# rejected by degree, per subset size and on the equitable partition first:
+# every subset size is tried, every vertex's (degree, sorted neighbor
+# degrees) profile is built, the full root partition is computed for every
+# child that passes the profile test, and the prune has no room bound.
+
+
+def reference_prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
+    r = n - len(masks)
+    need_total = 0
+    deficit_total = 0
+    for d in degs:
+        need = lo - d
+        if need > r:
+            return False
+        if need > 0:
+            need_total += need
+        deficit_total += hi - d
+    if need_total > hi * r:
+        return False
+    if regular:
+        if deficit_total > hi * r:
+            return False
+        if r == 0 and deficit_total:
+            return False
+        if (hi * r - deficit_total) % 2:
+            return False
+    return True
+
+
+def reference_canonical_child(child, degs):
+    k = len(child) - 1
+
+    def profile(v):
+        mv, nd = child[v], []
+        while mv:
+            low = mv & -mv
+            nd.append(degs[low.bit_length() - 1])
+            mv ^= low
+        return degs[v], sorted(nd)
+
+    mine = profile(k)
+    ties = []
+    for v in range(k):
+        p = profile(v)
+        if p >= mine and _connected_without(child, v):
+            if p > mine:
+                return None
+            ties.append(v)
+    root = root_partition(child)
+    mine_at = next(i for i, c in enumerate(root) if c >> k & 1)
+    later = sum(root[mine_at + 1 :])
+    if any(later >> v & 1 for v in ties):
+        return None
+    key, orbit = canon_adjacency(child, root)
+    if any(orbit[v] > orbit[k] for v in ties):
+        return None
+    return key
+
+
+def reference_connected_masks(n, lo, hi, regular, bipartite_only, kept_from=None):
+    """``enumerate._connected_masks`` by the reference order.  When
+    ``kept_from`` is a list, ``(parent, subset)`` is appended to it for
+    every child kept at every level."""
+    if n < 1:
+        return []
+    level = [(0,)]
+    if not reference_prune(level[0], [0], n, lo, hi, regular):
+        level = []
+    for k in range(1, n):
+        kept = []
+        for masks in level:
+            degs = [m.bit_count() for m in masks]
+            eligible = [v for v in range(k) if degs[v] < hi]
+            if not eligible:
+                continue
+            twins = _twin_classes(masks, eligible)
+            keys = set()
+            for d in range(1, min(hi, len(eligible)) + 1):
+                for subset in combinations(eligible, d):
+                    chosen = set(subset)
+                    if any(
+                        (inside := [v for v in cls if v in chosen])
+                        and inside != cls[: len(inside)]
+                        for cls in twins
+                    ):
+                        continue
+                    new_mask = 0
+                    child = list(masks)
+                    for v in subset:
+                        new_mask |= 1 << v
+                        child[v] |= 1 << k
+                    child.append(new_mask)
+                    cdegs = [m.bit_count() for m in child]
+                    if not reference_prune(child, cdegs, n, lo, hi, regular):
+                        continue
+                    if bipartite_only and not _is_bipartite_masks(child):
+                        continue
+                    key = reference_canonical_child(child, cdegs)
+                    if key is not None and key not in keys:
+                        keys.add(key)
+                        kept.append(tuple(child))
+                        if kept_from is not None:
+                            kept_from.append((masks, subset))
+        level = kept
+    return level

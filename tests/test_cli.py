@@ -209,15 +209,19 @@ class TestCampaignCli:
         code, _, err = self._campaign(capsys, "--checkpoint", str(tmp_path))
         assert code == 3 and str(tmp_path) in err
 
+    # a bad output path is reported before the first level runs: --verbose
+    # prints "# n=..." from the progress callback after every level
     def test_checkpoint_in_missing_directory(self, capsys, tmp_path):
         ckpt = tmp_path / "missing" / "ckpt.json"
-        code, _, err = self._campaign(capsys, "--checkpoint", str(ckpt))
+        code, _, err = self._campaign(capsys, "--checkpoint", str(ckpt), "--verbose")
         assert code == 3 and str(ckpt) in err
+        assert "# n=" not in err
 
     def test_csv_in_missing_directory(self, capsys, tmp_path):
         csv = tmp_path / "missing" / "hist.csv"
-        code, _, err = self._campaign(capsys, "--csv", str(csv))
+        code, out, err = self._campaign(capsys, "--csv", str(csv), "--verbose")
         assert code == 3 and str(csv) in err
+        assert "# n=" not in err and out == ""
 
 
 class TestFigures:

@@ -2,11 +2,15 @@ import networkx as nx
 import pytest
 
 import oracles
+from locirr import enumerate as enum_mod
 from locirr.enumerate import (
     CUBIC,
     SUBCUBIC,
     SUBCUBIC_MIN2,
     GraphClassFilter,
+    _connected_masks,
+    _prune,
+    _top_noncut_degree,
     enumerate_graphs,
     enumerate_trees,
 )
@@ -162,6 +166,80 @@ class TestStreamLaws:
         for n in range(1, 9):
             for t in enumerate_trees(n):
                 assert t.n == n and t.m == n - 1 and t.is_connected()
+
+
+# (n values, bounds(n) -> (lo, hi, regular, bipartite_only)) per family, as
+# enumerate_graphs hands them to _connected_masks
+MASK_FAMILIES = {
+    "cubic": (range(4, 13, 2), lambda n: (3, 3, True, False)),
+    "subcubic-min2": (range(1, 10), lambda n: (2, 3, False, False)),
+    "connected": (range(1, 8), lambda n: (min(n - 1, 1), n - 1, False, False)),
+    "bipartite": (range(1, 8), lambda n: (min(n - 1, 1), n - 1, False, True)),
+}
+
+
+class TestReferenceEnumerator:
+    """The level loop against the reference rejection order of
+    ``oracles.reference_connected_masks``, graph by graph in order."""
+
+    @pytest.mark.parametrize("name", sorted(MASK_FAMILIES))
+    def test_same_ordered_output(self, name):
+        sizes, bounds = MASK_FAMILIES[name]
+        for n in sizes:
+            kept_from = []
+            want = oracles.reference_connected_masks(n, *bounds(n), kept_from=kept_from)
+            assert _connected_masks(n, *bounds(n)) == want, f"{name} n={n}"
+            # the subset sizes 2 .. top-1 the level loop skips hold no
+            # child the reference keeps
+            for parent, subset in kept_from:
+                top = _top_noncut_degree(parent, [m.bit_count() for m in parent])
+                assert len(subset) == 1 or len(subset) >= top, (name, parent, subset)
+
+    def test_canonical_child_calls_pinned(self, monkeypatch):
+        # deterministic counts on cubic n=4..12; the reference order makes
+        # 22,400 child tests and 8,423 distance splits
+        calls = {"child": 0, "split": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(enum_mod, "_canonical_child", counted("child", enum_mod._canonical_child))
+        monkeypatch.setattr(enum_mod, "distance_split", counted("split", enum_mod.distance_split))
+        assert [count(n, CUBIC) for n in range(4, 13, 2)] == [1, 2, 5, 19, 85]
+        assert calls["child"] <= 15_000
+        assert calls["split"] <= 4_300
+
+
+class TestPrune:
+    def test_construction_prefixes_pass(self):
+        # the vertex ids of a yielded graph are its construction order, so
+        # every prefix 0..k-1 was kept at its level and must pass the prune
+        families = (
+            (CUBIC, range(4, 13, 2), 3, 3, True),
+            (SUBCUBIC_MIN2, range(2, 11), 2, 3, False),
+            (SUBCUBIC, range(2, 10), 1, 3, False),
+        )
+        for flt, sizes, lo, hi, regular in families:
+            for n in sizes:
+                for g in enumerate_graphs(n, flt):
+                    masks = g.adjacency_masks
+                    for k in range(1, n + 1):
+                        prefix = [m & ((1 << k) - 1) for m in masks[:k]]
+                        degs = [m.bit_count() for m in prefix]
+                        assert _prune(prefix, degs, n, lo, hi, regular), (g, k)
+
+    def test_room_bound(self):
+        # a 5-cycle with two chords has degrees 3,3,3,3,2: one more vertex
+        # would need three edges into the prefix, which has room for one
+        prefix = [0b10110, 0b01101, 0b01011, 0b10110, 0b01001]
+        degs = [m.bit_count() for m in prefix]
+        assert degs == [3, 3, 3, 3, 2]
+        assert oracles.reference_prune(prefix, degs, 6, 3, 3, True)
+        assert not _prune(prefix, degs, 6, 3, 3, True)
 
 
 class TestFilterValidation:

@@ -17,6 +17,8 @@ from locirr.graph import (
     complete_graph,
     cube_graph,
     cycle_graph,
+    distance_split,
+    equitable_partition,
     fully_subdivide,
     parse_graph6,
     path_graph,
@@ -247,6 +249,18 @@ class TestRootPartition:
         cells = root_partition(g.adjacency_masks)
         moved = [sum(1 << perm[v] for v in range(g.n) if c >> v & 1) for c in cells]
         assert root_partition(_relabeled(g, perm).adjacency_masks) == moved
+
+    @given(graphs(n_max=9))
+    @settings(max_examples=150, deadline=None)
+    def test_refines_equitable_in_cell_order(self, g):
+        # enumeration rejects on the equitable partition's cell order first,
+        # which is sound only if the root cells refine it in the same order
+        masks = g.adjacency_masks
+        eq = equitable_partition(masks)
+        root = root_partition(masks)
+        assert distance_split(masks, list(eq)) == root
+        owner = [next(i for i, c in enumerate(eq) if c & r == r) for r in root]
+        assert owner == sorted(owner)
 
 
 # vertex-transitive graphs with large groups, plus disconnected and

@@ -93,6 +93,15 @@ class TestCampaign:
         assert run_campaign("cubic", 4, 3, checkpoint=str(ckpt)).per_n == {4: 1}
         assert json.loads(ckpt.read_text())["done_n"] == 4
 
+    def test_checkpoint_in_missing_directory_before_any_level(self, tmp_path, monkeypatch):
+        def no_levels(n, flt):
+            raise AssertionError(f"level n={n} enumerated")
+
+        monkeypatch.setattr(harness, "enumerate_graphs", no_levels)
+        ckpt = tmp_path / "missing" / "campaign.json"
+        with pytest.raises(GraphError, match="missing"):
+            run_campaign("cubic", 6, 3, checkpoint=str(ckpt))
+
     def test_families_are_the_enumerate_filters(self):
         assert harness.FAMILIES["cubic"] is CUBIC
         assert harness.FAMILIES["subcubic"] is SUBCUBIC
