@@ -3,15 +3,19 @@
 Connected graphs are built one vertex at a time (every prefix connected),
 with degree-target pruning for the cubic/subcubic families.  Duplicates are
 never made: a child is kept only when its new vertex is the canonically
-chosen one to delete (McKay's canonical construction path).  Per parent, the
-subset sizes that cannot give a canonical child are skipped (see
-``_connected_masks``).  Each child is rejected by the first of four tests,
-cheapest first, that decides: the degrees of the non-cut vertices against
-the new vertex's, the sorted neighbor degrees of those of equal degree, the
-cell order of ``graph.equitable_partition``, and the cell order of its
-``graph.distance_split``, the root partition.  A child that passes all four
-is decided by the automorphism orbits from ``graph.canon_adjacency``, whose
-search starts from that root partition.
+chosen one to delete (McKay's canonical construction path).  Each parent
+does its invariant work once (see ``_connected_masks``): it tries one
+neighbor subset per orbit of its automorphism group, under the generators
+its own labeling returned, and one lowpoint pass (``_cut_parts``) gives its
+cut structure, which tells every child's non-cut vertices and the subset
+sizes that cannot give a canonical child.  Each child is rejected by the
+first of four tests, cheapest first, that decides: the degrees of the
+non-cut vertices against the new vertex's, the sorted neighbor degrees of
+those of equal degree, the cell order of ``graph.equitable_partition``, and
+the cell order of its ``graph.distance_split``, the root partition.  A
+child that passes all four is decided by the automorphism orbits from
+``graph.canon_adjacency``, whose search starts from that root partition;
+the same call gives the generators the child keeps as a parent.
 """
 
 from __future__ import annotations
@@ -117,36 +121,52 @@ def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
     return True
 
 
-def _twin_classes(masks, eligible):
-    """Group eligible vertices into interchangeable (twin) classes."""
-    groups: dict[tuple, list[int]] = {}
-    for v in eligible:
-        false_key = masks[v]
-        true_key = masks[v] | 1 << v
-        groups.setdefault(("f", false_key), []).append(v)
-        groups.setdefault(("t", true_key), []).append(v)
-    return [sorted(g) for g in groups.values() if len(g) > 1]
+def _cut_parts(masks) -> list[list[int]]:
+    """Per vertex v of a connected graph: the vertex masks of the components
+    of the graph minus v, none when v is the only vertex.
 
-
-def _connected_without(masks, v: int) -> bool:
-    """Is the graph still connected after deleting vertex v?"""
-    rest = (1 << len(masks)) - 1 & ~(1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen == rest
-
-
-def _top_noncut_degree(masks, degs) -> int:
-    """The largest degree of a non-cut vertex of a connected graph."""
-    by_degree = sorted(range(len(masks)), key=degs.__getitem__, reverse=True)
-    return next(degs[v] for v in by_degree if _connected_without(masks, v))
+    One depth-first pass with Hopcroft-Tarjan lowpoints: a DFS child w of v
+    whose subtree has no edge to a vertex discovered before v (``low[w] >=
+    disc[v]``) is cut off by v, and its subtree is one component; the other
+    vertices but v, if any, form one more.  v is a cut vertex iff it has two
+    or more parts.  In a child that joins a new vertex to the neighbors s,
+    v stays non-cut iff ``s & ~(1 << v)`` meets every part of v.
+    """
+    n = len(masks)
+    disc = [-1] * n
+    low = [0] * n
+    sub = [1 << v for v in range(n)]
+    parts: list[list[int]] = [[] for _ in range(n)]
+    disc[0] = 0
+    found = 1
+    stack = [(0, masks[0])]
+    while stack:
+        v, todo = stack[-1]
+        if todo:
+            bit = todo & -todo
+            stack[-1] = (v, todo ^ bit)
+            w = bit.bit_length() - 1
+            if disc[w] < 0:
+                disc[w] = low[w] = found
+                found += 1
+                stack.append((w, masks[w]))
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                sub[u] |= sub[v]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    parts[u].append(sub[v])
+    full = (1 << n) - 1
+    for v in range(n):
+        rest = full & ~(1 << v) & ~sum(parts[v])
+        if rest:
+            parts[v].append(rest)
+    return parts
 
 
 def _later_cells(cells, k: int) -> int:
@@ -155,23 +175,27 @@ def _later_cells(cells, k: int) -> int:
     return sum(cells[at + 1 :])
 
 
-def _canonical_child(child, degs) -> tuple[int, ...] | None:
-    """Canonical key of ``child`` (degrees ``degs``) if its last vertex k
-    was added canonically.
+def _canonical_child(child, degs, parts) -> tuple[tuple[int, ...], ...] | None:
+    """Automorphism group generators of ``child`` (degrees ``degs``) if its
+    last vertex k was added canonically; None means rejected.  ``parts`` is
+    ``_cut_parts`` of the parent, ``child`` minus k.
 
     The canonical vertex to delete is chosen among the non-cut vertices:
     first by the largest (degree, sorted neighbor degrees), then by the
     largest orbit id of ``canon_adjacency``.  The child is accepted iff k
-    lies in that orbit; None means rejected.  Four stages, cheapest first:
-    degrees alone (a non-cut vertex of higher degree rejects, one of lower
-    degree is passed over); neighbor degrees for the vertices of k's degree;
-    the cell order of ``equitable_partition``; and the cell order of its
+    lies in that orbit.  Four stages, cheapest first: degrees alone (a
+    non-cut vertex of higher degree rejects, one of lower degree is passed
+    over); neighbor degrees for the vertices of k's degree; the cell order
+    of ``equitable_partition``; and the cell order of its
     ``distance_split``, the root partition, which is then handed to the
     labeler.  Orbit ids follow the order of the root cells, and the root
     partition refines the equitable one in its cell order, so a tied vertex
-    in a later cell than k of either partition rejects the child.
+    in a later cell than k of either partition rejects the child.  k itself
+    is never a cut vertex, and v < k is one iff k's other neighbors miss a
+    part of v (see ``_cut_parts``).
     """
     k = len(child) - 1
+    s = child[k]
 
     def nbr_degrees(v):
         mv, nd = child[v], []
@@ -195,7 +219,8 @@ def _canonical_child(child, degs) -> tuple[int, ...] | None:
             if nd < mine:
                 continue
             higher = nd > mine
-        if _connected_without(child, v):
+        others = s & ~(1 << v)
+        if all(others & c for c in parts[v]):
             if higher:
                 return None
             ties |= 1 << v
@@ -205,10 +230,20 @@ def _canonical_child(child, degs) -> tuple[int, ...] | None:
     cells = distance_split(child, cells)
     if _later_cells(cells, k) & ties:
         return None
-    key, orbit = canon_adjacency(child, cells)
+    _, orbit, generators = canon_adjacency(child, cells)
     if any(ties >> v & 1 and orbit[v] > orbit[k] for v in range(k)):
         return None
-    return key
+    return generators
+
+
+def _image(s: int, perm) -> int:
+    """The vertex mask ``s`` moved by the permutation ``perm``."""
+    out = 0
+    while s:
+        low = s & -s
+        out |= 1 << perm[low.bit_length() - 1]
+        s ^= low
+    return out
 
 
 def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bool):
@@ -217,42 +252,58 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
 
     Canonical construction path (McKay 1998): every graph is built from its
     canonical parent only, the graph minus its canonical non-cut vertex, so
-    no table spans parents; one set of keys per parent drops children that
-    the parent's automorphisms make equal.  A non-cut vertex of the parent
-    with the largest degree ``top`` stays non-cut in every child whose new
-    vertex has two or more neighbors, and outranks a new vertex of lower
-    degree, so the subset sizes 2 .. top-1 are never tried."""
+    no table spans parents.  Each parent does its invariant work once:
+
+    - Orbit pruning.  Two accepted children of one parent are isomorphic
+      only if the parent's automorphism group maps one's neighbor subset to
+      the other's, so a parent tries only the first subset of each orbit in
+      ``combinations`` order, its lexicographically least.  When an orbit
+      is first met, all its images under the generators that
+      ``canon_adjacency`` returned for the parent are marked.
+    - Cut structure.  ``_cut_parts`` finds, in one pass, the components of
+      the parent minus each vertex; every child's non-cut test reads them
+      (``_canonical_child``).  They also give ``top``, the largest degree
+      of a non-cut vertex of the parent.  Such a vertex stays non-cut in
+      every child whose new vertex has two or more neighbors, and outranks
+      a new vertex of lower degree, so the subset sizes 2 .. top-1 are
+      never tried.
+
+    An accepted child keeps the generators its labeling found; they act on
+    its vertex ids when it becomes a parent."""
     if n < 1:
         return []
-    level: list[tuple[int, ...]] = [(0,)]
-    if not _prune(level[0], [0], n, lo, hi, regular):
+    level: list[tuple[tuple[int, ...], tuple]] = [((0,), ())]
+    if not _prune(level[0][0], [0], n, lo, hi, regular):
         level = []
     for k in range(1, n):
-        kept: list[tuple[int, ...]] = []
-        for masks in level:
+        kept: list[tuple[tuple[int, ...], tuple]] = []
+        for masks, gens in level:
             degs = [m.bit_count() for m in masks]
             eligible = [v for v in range(k) if degs[v] < hi]
             if not eligible:
                 continue
-            twins = _twin_classes(masks, eligible)
-            keys: set[tuple[int, ...]] = set()
-            top = _top_noncut_degree(masks, degs)
+            parts = _cut_parts(masks)
+            top = max(degs[v] for v in range(k) if len(parts[v]) < 2)
+            met: set[int] = set()  # the subsets of every orbit met so far
             max_d = min(hi, len(eligible))
             for d in [1, *range(max(2, top), max_d + 1)]:
                 for subset in combinations(eligible, d):
-                    chosen = set(subset)
-                    ok = True
-                    for cls in twins:
-                        inside = [v for v in cls if v in chosen]
-                        if inside and inside != cls[: len(inside)]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
                     new_mask = 0
-                    child = list(masks)
                     for v in subset:
                         new_mask |= 1 << v
+                    if gens:
+                        if new_mask in met:
+                            continue
+                        met.add(new_mask)
+                        orbit = [new_mask]
+                        for s in orbit:  # also visits the images appended below
+                            for g in gens:
+                                t = _image(s, g)
+                                if t not in met:
+                                    met.add(t)
+                                    orbit.append(t)
+                    child = list(masks)
+                    for v in subset:
                         child[v] |= 1 << k
                     child.append(new_mask)
                     cdegs = [m.bit_count() for m in child]
@@ -260,12 +311,11 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
                         continue
                     if bipartite_only and not _is_bipartite_masks(child):
                         continue
-                    key = _canonical_child(child, cdegs)
-                    if key is not None and key not in keys:
-                        keys.add(key)
-                        kept.append(tuple(child))
+                    child_gens = _canonical_child(child, cdegs, parts)
+                    if child_gens is not None:
+                        kept.append((tuple(child), child_gens))
         level = kept
-    return level
+    return [masks for masks, _ in level]
 
 
 def _masks_to_graph(masks) -> Graph:

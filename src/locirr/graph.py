@@ -38,6 +38,8 @@ class Graph:
     multigraph: bool = False
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphError(f"negative vertex count n={self.n}")
         norm = []
         for u, v in self.edges:
             if u == v:
@@ -469,16 +471,17 @@ def _orbit_roots(n: int, gens: Iterable[Sequence[int]]) -> list[int]:
 
 def canon_adjacency(
     masks: Sequence[int], cells: list[int] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical adjacency and automorphism orbits of a graph given by masks.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical adjacency, automorphism orbits and automorphism group
+    generators of a graph given by masks.
 
-    Returns ``(key, orbit)``.  ``key`` is the least relabeled adjacency
-    (entry i: the mask of positions adjacent to position i) over the leaves
-    of an individualization-refinement search, so it is equal for two
-    graphs iff they are isomorphic.  The search starts from ``cells``, which
-    must be ``root_partition(masks)`` (a caller that already holds it
-    passes it on), and runs on an explicit stack; each node branches on the
-    vertices of its first non-singleton cell.
+    Returns ``(key, orbit, generators)``.  ``key`` is the least relabeled
+    adjacency (entry i: the mask of positions adjacent to position i) over
+    the leaves of an individualization-refinement search, so it is equal
+    for two graphs iff they are isomorphic.  The search starts from
+    ``cells``, which must be ``root_partition(masks)`` (a caller that
+    already holds it passes it on), and runs on an explicit stack; each
+    node branches on the vertices of its first non-singleton cell.
 
     A leaf with the key of the first or of the least leaf so far yields an
     automorphism, and the search jumps back to the child of the deepest
@@ -487,10 +490,12 @@ def canon_adjacency(
     an explored sibling under the automorphisms found is skipped: all of
     them fix the node's path pointwise, because the search has not yet left
     its subtree.  The automorphisms found generate the automorphism group
-    (McKay 1981), so their union-find orbits are exact.
-    ``orbit[v]`` is the least position a vertex of ``v``'s orbit takes at
-    the least leaf: vertices share it iff they share an orbit, and ids
-    follow the order of the cells of ``cells``.
+    (McKay 1981), so their union-find orbits are exact.  They are returned
+    as ``generators``, each a tuple ``g`` that maps vertex ``v`` to
+    ``g[v]``; an asymmetric graph has none.  ``orbit[v]`` is the least
+    position a vertex of ``v``'s orbit takes at the least leaf: vertices
+    share it iff they share an orbit, and ids follow the order of the cells
+    of ``cells``.
     """
     n = len(masks)
     if cells is None:
@@ -552,7 +557,7 @@ def canon_adjacency(
     least: dict[int, int] = {}
     for i, v in enumerate(best[1]):
         least.setdefault(roots[v], i)
-    return best[0], tuple(least[roots[v]] for v in range(n))
+    return best[0], tuple(least[roots[v]] for v in range(n)), tuple(map(tuple, autos))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -561,7 +566,7 @@ def canonical_form(g: Graph) -> bytes:
         raise GraphError("canonical_form requires a simple graph")
     if g.n > 255:
         raise GraphError("canonical_form supports n <= 255")
-    canon = canon_adjacency(g.adjacency_masks)[0]
+    canon, _, _ = canon_adjacency(g.adjacency_masks)
     out = bytearray([g.n])
     for v in range(g.n):
         mv = canon[v]

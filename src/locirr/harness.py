@@ -23,6 +23,7 @@ from .solver import (
     EXCEEDED_BUDGET,
     NOT_DECOMPOSABLE,
     REFUTED,
+    check_budget,
     chi_irr,
     element_uniform_search,
 )
@@ -183,6 +184,11 @@ def run_campaign(
         flt = family
     if method not in ("exact", "constructive"):
         raise GraphError(f"unknown method {method!r}")
+    if n_max < 0:
+        raise GraphError(f"n_max must be nonnegative, got {n_max}")
+    if jobs < 1:
+        raise GraphError(f"jobs must be at least 1, got {jobs}")
+    check_budget(node_budget)
     params = {
         "family": name,
         "n_max": n_max,

@@ -254,11 +254,18 @@ def _search_levels(
     return SolveResult(exhausted, None, None, spent, time.perf_counter() - start)
 
 
+def check_budget(node_budget: int | None) -> None:
+    """Raise GraphError for a negative node budget; 0 allows no node."""
+    if node_budget is not None and node_budget < 0:
+        raise GraphError(f"node budget must be nonnegative, got {node_budget}")
+
+
 def chi_irr(g: Graph, k_max: int, node_budget: int | None = None) -> SolveResult:
     """Exact locally irregular chromatic index, searching k = 1..k_max in
     order; ``node_budget`` bounds the nodes of the whole call."""
     if k_max < 1:
         raise GraphError("k_max must be at least 1")
+    check_budget(node_budget)
     start = time.perf_counter()
     if g.m == 0:
         return SolveResult(COLORED, 0, EdgeColoring((), 0), 0, time.perf_counter() - start)
@@ -304,6 +311,7 @@ def element_uniform_search(
     """
     from .decompose import validate_decomposition
 
+    check_budget(node_budget)
     report = validate_decomposition(g, d, mode="any")
     if not report.valid:
         raise GraphError(f"invalid decomposition: {report.failures[0]}")

@@ -4,7 +4,7 @@ Nothing here shares code with the package beyond the Graph container; every
 check is a direct transcription of the relevant definition.  The one
 exception is the reference enumerator at the end: it is the earlier,
 slower rejection order of the canonical construction path, so it runs on
-the package's labeler and its unchanged mask helpers.
+the package's labeler and its bipartite test.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from locirr.enumerate import _connected_without, _is_bipartite_masks, _twin_classes
+from locirr.enumerate import _is_bipartite_masks
 from locirr.graph import Graph, canon_adjacency, root_partition
 
 
@@ -114,6 +114,13 @@ def automorphism_orbits(g: Graph) -> set[frozenset[int]]:
     return {frozenset(c) for c in classes.values()}
 
 
+def automorphism_count(g: Graph) -> int:
+    """Order of the automorphism group: the VF2 isomorphisms of the graph
+    onto itself, each listed once."""
+    h = to_nx(g)
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+
+
 def atlas(n: int) -> list[nx.Graph]:
     """networkx's graph atlas restricted to n vertices: one graph per
     isomorphism class, for every n <= 7."""
@@ -198,7 +205,37 @@ def two_path_partitions(g: Graph, edges: list[int]) -> list[list[tuple[int, int]
 # rejected by degree, per subset size and on the equitable partition first:
 # every subset size is tried, every vertex's (degree, sorted neighbor
 # degrees) profile is built, the full root partition is computed for every
-# child that passes the profile test, and the prune has no room bound.
+# child that passes the profile test, and the prune has no room bound.  It
+# drops subsets that are not least within their twin classes and children
+# whose canonical key a sibling already had, where the level loop tries one
+# subset per orbit of the parent's automorphism group, and it tests each
+# candidate for a cut vertex by its own search.
+
+
+def _twin_classes(masks, eligible):
+    """Group eligible vertices into interchangeable (twin) classes."""
+    groups: dict[tuple, list[int]] = {}
+    for v in eligible:
+        false_key = masks[v]
+        true_key = masks[v] | 1 << v
+        groups.setdefault(("f", false_key), []).append(v)
+        groups.setdefault(("t", true_key), []).append(v)
+    return [sorted(g) for g in groups.values() if len(g) > 1]
+
+
+def _connected_without(masks, v: int) -> bool:
+    """Is the graph still connected after deleting vertex v?"""
+    rest = (1 << len(masks)) - 1 & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest
 
 
 def reference_prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
@@ -248,7 +285,7 @@ def reference_canonical_child(child, degs):
     later = sum(root[mine_at + 1 :])
     if any(later >> v & 1 for v in ties):
         return None
-    key, orbit = canon_adjacency(child, root)
+    key, orbit, _ = canon_adjacency(child, root)
     if any(orbit[v] > orbit[k] for v in ties):
         return None
     return key

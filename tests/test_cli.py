@@ -40,6 +40,16 @@ class TestChiIrr:
         code, out, _ = run(capsys, "chi-irr", K10, "--budget", "2")
         assert code == 4 and "budget-exhausted" in out
 
+    def test_negative_budget(self, capsys):
+        code, out, err = run(capsys, "chi-irr", "C~", "--budget", "-1")
+        assert code == 3 and "budget" in err and not out
+        code, out, _ = run(capsys, "chi-irr", "C~", "--budget", "0")
+        assert code == 4 and "budget-exhausted" in out
+
+    def test_negative_vertex_count(self, capsys):
+        code, out, err = run(capsys, "color", '{"n": -2, "edges": []}')
+        assert code == 3 and "negative" in err and not out
+
     def test_file_with_multiple_graphs(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"
         path.write_text(f"C~\n{write_graph6(cycle_graph(4))}\n")
@@ -198,6 +208,17 @@ class TestCampaignCli:
         return run(
             capsys, "campaign", "--family", "cubic", "--max-n", "4", "--bound", "3", *extra
         )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--budget", "-5"), ("--jobs", "0"), ("--jobs", "-1"), ("--max-n", "-1")],
+        ids=["budget-5", "jobs0", "jobs-1", "max-n-1"],
+    )
+    def test_invalid_sizes(self, capsys, extra):
+        # a later --max-n overrides the one _campaign passes
+        code, out, err = self._campaign(capsys, *extra, "--verbose")
+        assert code == 3 and "error:" in err and out == ""
+        assert "# n=" not in err
 
     def test_checkpoint_not_json(self, capsys, tmp_path):
         ckpt = tmp_path / "ckpt.json"

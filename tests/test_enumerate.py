@@ -9,12 +9,12 @@ from locirr.enumerate import (
     SUBCUBIC_MIN2,
     GraphClassFilter,
     _connected_masks,
+    _cut_parts,
     _prune,
-    _top_noncut_degree,
     enumerate_graphs,
     enumerate_trees,
 )
-from locirr.graph import GraphError, canonical_form
+from locirr.graph import Graph, GraphError, canonical_form
 
 CONNECTED = GraphClassFilter(connected=True)
 ALL = GraphClassFilter(connected=False)
@@ -157,8 +157,6 @@ class TestStreamLaws:
 
     def test_disconnected_stream_contains_unions(self):
         labels = {canonical_form(g) for g in enumerate_graphs(6, ALL)}
-        from locirr.graph import Graph
-
         two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
         assert canonical_form(two_triangles) in labels
 
@@ -192,13 +190,19 @@ class TestReferenceEnumerator:
             # the subset sizes 2 .. top-1 the level loop skips hold no
             # child the reference keeps
             for parent, subset in kept_from:
-                top = _top_noncut_degree(parent, [m.bit_count() for m in parent])
+                top = max(
+                    m.bit_count()
+                    for v, m in enumerate(parent)
+                    if oracles._connected_without(parent, v)
+                )
                 assert len(subset) == 1 or len(subset) >= top, (name, parent, subset)
 
     def test_canonical_child_calls_pinned(self, monkeypatch):
         # deterministic counts on cubic n=4..12; the reference order makes
-        # 22,400 child tests and 8,423 distance splits
-        calls = {"child": 0, "split": 0}
+        # 22,400 child tests, 8,423 distance splits and 4,247 labelings.
+        # Orbit pruning builds one child per orbit of neighbor subsets, so
+        # 2,668 of the 2,678 labeled children are kept
+        calls = {"child": 0, "split": 0, "label": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -209,9 +213,41 @@ class TestReferenceEnumerator:
 
         monkeypatch.setattr(enum_mod, "_canonical_child", counted("child", enum_mod._canonical_child))
         monkeypatch.setattr(enum_mod, "distance_split", counted("split", enum_mod.distance_split))
+        monkeypatch.setattr(enum_mod, "canon_adjacency", counted("label", enum_mod.canon_adjacency))
         assert [count(n, CUBIC) for n in range(4, 13, 2)] == [1, 2, 5, 19, 85]
-        assert calls["child"] <= 15_000
-        assert calls["split"] <= 4_300
+        assert calls["child"] <= 11_700
+        assert calls["split"] <= 3_200
+        assert calls["label"] == 2_678
+
+
+def _connected_atlas(n):
+    for h in oracles.atlas(n):
+        if nx.is_connected(h):
+            yield h, Graph(n, tuple(sorted(h.edges()))).adjacency_masks
+
+
+class TestCutParts:
+    def test_components_without_each_vertex(self):
+        for n in range(1, 8):
+            for h, masks in _connected_atlas(n):
+                parts = _cut_parts(masks)
+                for v in range(n):
+                    rest = h.copy()
+                    rest.remove_node(v)
+                    want = [sum(1 << u for u in c) for c in nx.connected_components(rest)]
+                    assert sorted(parts[v]) == sorted(want), (h.edges(), v)
+
+    def test_child_rule_matches_search(self):
+        # in the child that joins vertex n to the nonempty set s, v < n is
+        # non-cut iff s minus v meets every part of v
+        for n in range(1, 7):
+            for _, masks in _connected_atlas(n):
+                parts = _cut_parts(masks)
+                for s in range(1, 1 << n):
+                    child = [m | (s >> v & 1) << n for v, m in enumerate(masks)] + [s]
+                    for v in range(n):
+                        rule = all(s & ~(1 << v) & c for c in parts[v])
+                        assert rule == oracles._connected_without(child, v), (masks, s, v)
 
 
 class TestPrune:

@@ -60,6 +60,11 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             Graph(2, ((0, 2),))
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(GraphError):
+            Graph(-2, ())
+        assert Graph(0, ()).n == 0
+
     def test_degree_sum(self):
         for g in (path_graph(3), cycle_graph(5), complete_graph(5), cube_graph(),
                   star_graph(4)):
@@ -206,8 +211,8 @@ class TestCanonicalForm:
         assert canonical_form(g) == canonical_form(h)
 
     def test_trivial_graphs(self):
-        assert canon_adjacency([]) == ((), ())
-        assert canon_adjacency([0]) == ((0,), (0,))
+        assert canon_adjacency([]) == ((), (), ())
+        assert canon_adjacency([0]) == ((0,), (0,), ())
 
     @pytest.mark.parametrize(
         "g",
@@ -287,7 +292,8 @@ SYMMETRIC = [
 
 def _orbit_partition(g: Graph) -> set[frozenset[int]]:
     classes: dict[int, set[int]] = {}
-    for v, o in enumerate(canon_adjacency(g.adjacency_masks)[1]):
+    _, orbit, _ = canon_adjacency(g.adjacency_masks)
+    for v, o in enumerate(orbit):
         classes.setdefault(o, set()).add(v)
     return {frozenset(c) for c in classes.values()}
 
@@ -299,6 +305,24 @@ class TestOrbits:
                 g = Graph(n, tuple(sorted(h.edges())))
                 assert _orbit_partition(g) == oracles.automorphism_orbits(g), g.edges
 
+    def test_generators_generate_the_group(self):
+        # enumeration tries one subset per orbit of these generators, which
+        # is exact only if they generate the whole automorphism group
+        for n in range(1, 8):
+            for h in oracles.atlas(n):
+                g = Graph(n, tuple(sorted(h.edges())))
+                _, _, gens = canon_adjacency(g.adjacency_masks)
+                group = {tuple(range(n))}
+                todo = list(group)
+                while todo:
+                    p = todo.pop()
+                    for q in gens:
+                        pq = tuple(q[p[v]] for v in range(n))
+                        if pq not in group:
+                            group.add(pq)
+                            todo.append(pq)
+                assert len(group) == oracles.automorphism_count(g), g.edges
+
     @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in SYMMETRIC])
     def test_vertex_transitive(self, g):
         assert _orbit_partition(g) == oracles.automorphism_orbits(g)
@@ -307,8 +331,8 @@ class TestOrbits:
     def test_key_after_relabeling(self, g):
         perm = list(range(g.n))
         random.Random(g.n * 1000 + g.m).shuffle(perm)
-        key, orbit = canon_adjacency(g.adjacency_masks)
-        key_h, orbit_h = canon_adjacency(_relabeled(g, perm).adjacency_masks)
+        key, orbit, _ = canon_adjacency(g.adjacency_masks)
+        key_h, orbit_h, _ = canon_adjacency(_relabeled(g, perm).adjacency_masks)
         assert key_h == key
         assert all(orbit_h[perm[v]] == orbit[v] for v in range(g.n))
 
@@ -319,7 +343,7 @@ class TestOrbits:
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
-        key_g, orbit_g = canon_adjacency(g.adjacency_masks)
-        key_h, orbit_h = canon_adjacency(h.adjacency_masks)
+        key_g, orbit_g, _ = canon_adjacency(g.adjacency_masks)
+        key_h, orbit_h, _ = canon_adjacency(h.adjacency_masks)
         assert key_g == key_h
         assert all(orbit_h[perm[v]] == orbit_g[v] for v in range(g.n))

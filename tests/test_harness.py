@@ -69,6 +69,18 @@ class TestCampaign:
         parallel = run_campaign("all", 5, 3, jobs=2)
         assert serial.to_json() == parallel.to_json()
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_max": -1}, {"jobs": 0}, {"jobs": -1}, {"node_budget": -5}]
+    )
+    def test_invalid_arguments_rejected(self, kwargs, tmp_path):
+        # rejected before any level runs, so no checkpoint is written
+        ckpt = tmp_path / "campaign.json"
+        args = {"n_max": 6, **kwargs}
+        n_max = args.pop("n_max")
+        with pytest.raises(GraphError):
+            run_campaign("cubic", n_max, 3, checkpoint=str(ckpt), **args)
+        assert not ckpt.exists()
+
     def test_checkpoint_resume_after_budget(self, tmp_path):
         ckpt = str(tmp_path / "campaign.json")
         with pytest.raises(BudgetExhausted):

@@ -97,6 +97,12 @@ class TestChiIrr:
         with pytest.raises(GraphError):
             chi_irr(cycle_graph(4), 0)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(GraphError):
+            chi_irr(cycle_graph(4), 2, node_budget=-1)
+        # 0 still means "no node may be spent"
+        assert chi_irr(cycle_graph(4), 2, node_budget=0).status == EXCEEDED_BUDGET
+
     def test_budget_exhaustion_is_distinct(self):
         res = chi_irr(complete_graph(6), 4, node_budget=3)
         assert res.status == EXCEEDED_BUDGET
@@ -201,6 +207,13 @@ class TestElementUniform:
         loose = element_uniform_search(g, d, 4, enforce_property_ii=False)
         assert strict.status == COLORED and loose.status == COLORED
         assert loose.k == 1 and strict.k == 2
+
+    def test_negative_budget_rejected(self):
+        g = cycle_graph(4)
+        d = two_path_decomposition(g)
+        with pytest.raises(GraphError):
+            element_uniform_search(g, d, 2, node_budget=-1)
+        assert element_uniform_search(g, d, 2, node_budget=0).status == EXCEEDED_BUDGET
 
     def test_invalid_decomposition_rejected(self):
         g = cycle_graph(4)
