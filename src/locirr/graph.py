@@ -451,24 +451,6 @@ def _individualize(masks: Sequence[int], cells: list[int], t: int, v: int) -> li
     return _refine(masks, cells[:t] + [bit, cells[t] ^ bit] + cells[t + 1 :], [bit])
 
 
-def _orbit_roots(n: int, gens: Iterable[Sequence[int]]) -> list[int]:
-    """Union-find over the cycles of the permutations ``gens``: ``root[v]``,
-    the least vertex of ``v``'s orbit under the group they generate."""
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    for g in gens:
-        for v, w in enumerate(g):
-            a, b = find(v), find(w)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [find(v) for v in range(n)]
-
-
 def canon_adjacency(
     masks: Sequence[int], cells: list[int] | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -502,6 +484,13 @@ def canon_adjacency(
         cells = root_partition(masks)
     nbrs = [_vertices(mv) for mv in masks]
     autos: list[list[int]] = []
+    root = list(range(n))  # union-find over the cycles of ``autos``
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
     first = best = None  # (key, leaf order, path) of the first and the least leaf
     path: list[int] = []  # the vertex individualized at each depth
     stack: list[list] = []  # per depth: [partition, target cell index, candidates, next]
@@ -527,6 +516,10 @@ def canon_adjacency(
                 for a, b in zip(twin[1], lab):
                     g[a] = b
                 autos.append(g)
+                for v, w in enumerate(g):
+                    a, b = find(v), find(w)
+                    if a != b:
+                        root[max(a, b)] = min(a, b)
                 d = 0
                 while path[d] == twin[2][d]:
                     d += 1
@@ -540,9 +533,8 @@ def canon_adjacency(
             if j < len(cand) and path[:d] == first[2][:d]:
                 # on the first path the search has not yet left this node's
                 # subtree, so every automorphism found fixes its path
-                roots = _orbit_roots(n, autos)
-                seen = {roots[u] for u in cand[:j]}
-                while j < len(cand) and roots[cand[j]] in seen:
+                seen = {find(u) for u in cand[:j]}
+                while j < len(cand) and find(cand[j]) in seen:
                     j += 1
             if j < len(cand):
                 stack[-1][3] = j + 1
@@ -553,11 +545,10 @@ def canon_adjacency(
             stack.pop()
         else:
             break
-    roots = _orbit_roots(n, autos)
     least: dict[int, int] = {}
     for i, v in enumerate(best[1]):
-        least.setdefault(roots[v], i)
-    return best[0], tuple(least[roots[v]] for v in range(n)), tuple(map(tuple, autos))
+        least.setdefault(find(v), i)
+    return best[0], tuple(least[find(v)] for v in range(n)), tuple(map(tuple, autos))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -9,8 +9,12 @@ edges (single edges for chi_irr, whole decomposition elements for
 element-uniform search, vertex bundles for the balanced-forest colorer, edge
 halves for the subdivision colorer).  Pruning is by closure: once every
 active edge at both endpoints of an edge is colored, the equal-degree test
-for that edge is final and can cut the branch.  Every search branches in
-``edge_order``, a breadth-first vertex-completion order, so vertices become
+for that edge is final and can cut the branch.  The position that completes
+a vertex depends only on the group order, so ``search_groups`` fixes each
+edge's test at one position when the search is built, and a placement
+checks only the edges listed there.  Every search branches in
+``edge_order``, a greedy vertex-completion order (maximum cardinality
+search, ties to the vertex with the fewest edges left), so vertices become
 complete early and closure cuts a bad branch soon after it is made; searches
 over decomposition elements, the decomposer's colorability check included,
 take the elements in ``in_edge_order``, by their first edge in that order.  The
@@ -21,6 +25,7 @@ with their own hooks.  A node budget given to ``chi_irr`` or
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -47,29 +52,37 @@ class _Budget(Exception):
 
 
 def edge_order(g: Graph) -> list[int]:
-    """Branching order by vertex completion: components in order of their
-    least vertex, each searched breadth-first from that vertex; a dequeued
-    vertex emits its edges not yet emitted, in ``g.incidence`` order.
+    """Branching order by greedy vertex completion: components in order of
+    their least vertex, each started at that vertex; a taken vertex emits its
+    edges not yet emitted, in ``g.incidence`` order.  The next vertex taken
+    is the one with the most edges emitted, ties going to the fewest edges
+    left and then to the least index: maximum cardinality search (Tarjan &
+    Yannakakis 1984) with a tie-break that completes vertices soon.
 
-    Every vertex is complete once it has been dequeued, so the closure check
-    in ``search_groups`` judges each edge a few positions after the search
-    reaches it, not deep in the search."""
+    A vertex is complete once all its edges are emitted, so the closure
+    check in ``search_groups`` judges each edge a few positions after the
+    search reaches it, not deep in the search.  A lazy heap keeps the order
+    O(m log m), without recursion."""
     emitted = [False] * g.m
-    seen = [False] * g.n
+    taken = [False] * g.n
+    got = [0] * g.n  # edges emitted at each vertex
     order = []
     for s in range(g.n):
-        if seen[s]:
+        if taken[s]:
             continue
-        seen[s] = True
-        queue = [s]
-        for v in queue:  # the loop also visits vertices appended below
+        heap = [(0, 0, s)]
+        while heap:
+            v = heapq.heappop(heap)[2]
+            if taken[v]:
+                continue  # an older entry: the vertex's latest one came first
+            taken[v] = True
             for e, u in g.incidence[v]:
                 if not emitted[e]:
                     emitted[e] = True
                     order.append(e)
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+                    got[u] += 1
+                    if not taken[u]:
+                        heapq.heappush(heap, (-got[u], len(g.incidence[u]) - got[u], u))
     return order
 
 
@@ -128,20 +141,24 @@ def search_groups(
     raises _Budget when the node budget runs out.
     """
     edges = g.edges
-    active = [e for grp in groups for e in grp]
-    rem = [0] * g.n
-    for e in active:
-        u, v = edges[e]
-        rem[u] += 1
-        rem[v] += 1
     cnt = [[0] * (k + 1) for _ in range(g.n)]
     ecolor = [0] * g.m
-    marks = [False] * g.m
-    for e in active:
-        marks[e] = True
-    inc_active = [
-        tuple((e, u) for e, u in g.incidence[v] if marks[e]) for v in range(g.n)
-    ]
+    # closure: an edge is final once every active edge at both its endpoints
+    # is colored.  The position that completes a vertex is the last one with
+    # an edge at it, so each edge's check is fixed here, at the later of its
+    # endpoints' completing positions.
+    last = [0] * g.n
+    for gi, grp in enumerate(groups):
+        for e in grp:
+            u, v = edges[e]
+            last[u] = last[v] = gi
+    ends: list[list] = [[] for _ in groups]  # (edge, cnt rows of its ends)
+    closing: list[list] = [[] for _ in groups]  # edges judged at each position
+    for gi, grp in enumerate(groups):
+        for e in grp:
+            u, v = edges[e]
+            ends[gi].append((e, cnt[u], cnt[v]))
+            closing[max(last[u], last[v])].append((e, cnt[u], cnt[v]))
     # pair rule: first edges of the incident earlier groups that may not
     # share this group's color
     barred: list[tuple[int, ...]] = [()] * len(groups)
@@ -154,29 +171,22 @@ def search_groups(
         for f in barred[gi]:
             if ecolor[f] == c:
                 return False
-        grp = groups[gi]
-        for e in grp:
+        for e, cu, cv in ends[gi]:
             ecolor[e] = c
-            for v in edges[e]:
-                cnt[v][c] += 1
-                rem[v] -= 1
-        # closure: an edge whose endpoints are both complete is final
-        for e in grp:
-            for v in edges[e]:
-                if rem[v] == 0:
-                    cv = cnt[v]
-                    for f, u in inc_active[v]:
-                        if rem[u] == 0 and cv[ecolor[f]] == cnt[u][ecolor[f]]:
-                            unplace(gi, c)
-                            return False
+            cu[c] += 1
+            cv[c] += 1
+        for f, cu, cv in closing[gi]:
+            d = ecolor[f]
+            if cu[d] == cv[d]:
+                unplace(gi, c)
+                return False
         return True
 
     def unplace(gi: int, c: int):
-        for e in groups[gi]:
-            ecolor[e] = 0
-            for v in edges[e]:
-                cnt[v][c] -= 1
-                rem[v] += 1
+        # ecolor keeps the stale color: it is read only for placed groups
+        for _, cu, cv in ends[gi]:
+            cu[c] -= 1
+            cv[c] -= 1
 
     return backtrack(len(groups), k, place, unplace, node_budget)
 

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code with the package beyond the Graph container; every
-check is a direct transcription of the relevant definition.  The one
-exception is the reference enumerator at the end: it is the earlier,
-slower rejection order of the canonical construction path, so it runs on
-the package's labeler and its bipartite test.
+check is a direct transcription of the relevant definition.  Two
+exceptions are earlier, slower forms of package code: the reference closure
+search runs on the package's search engine, and the reference enumerator at
+the end, the earlier rejection order of the canonical construction path,
+runs on the package's labeler and its bipartite test.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import networkx as nx
 
 from locirr.enumerate import _is_bipartite_masks
 from locirr.graph import Graph, canon_adjacency, root_partition
+from locirr.solver import backtrack
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -197,6 +199,65 @@ def two_path_partitions(g: Graph, edges: list[int]) -> list[list[tuple[int, int]
             tail = [h for h in rest if h != f]
             out.extend([(e, f)] + p for p in two_path_partitions(g, tail))
     return out
+
+
+# -- reference closure search --------------------------------------------------
+
+
+def reference_search_groups(g: Graph, groups, k, pair_ok=None, node_budget=None):
+    """``solver.search_groups`` with its closure found as the search runs:
+    per-vertex counters of uncolored active edges say when a vertex becomes
+    complete, and then every active edge at it whose other end is complete
+    too is checked.  Same contract and return value."""
+    edges = g.edges
+    active = [e for grp in groups for e in grp]
+    rem = [0] * g.n
+    for e in active:
+        u, v = edges[e]
+        rem[u] += 1
+        rem[v] += 1
+    cnt = [[0] * (k + 1) for _ in range(g.n)]
+    ecolor = [0] * g.m
+    marks = [False] * g.m
+    for e in active:
+        marks[e] = True
+    inc_active = [
+        tuple((e, u) for e, u in g.incidence[v] if marks[e]) for v in range(g.n)
+    ]
+    barred: list[tuple[int, ...]] = [()] * len(groups)
+    if pair_ok is not None:
+        for (i, j), ok in pair_ok.items():
+            if not ok:
+                barred[j] += (groups[i][0],)
+
+    def place(gi, c):
+        for f in barred[gi]:
+            if ecolor[f] == c:
+                return False
+        grp = groups[gi]
+        for e in grp:
+            ecolor[e] = c
+            for v in edges[e]:
+                cnt[v][c] += 1
+                rem[v] -= 1
+        for e in grp:
+            for v in edges[e]:
+                if rem[v] == 0:
+                    cv = cnt[v]
+                    for f, u in inc_active[v]:
+                        if rem[u] == 0 and cv[ecolor[f]] == cnt[u][ecolor[f]]:
+                            unplace(gi, c)
+                            return False
+        return True
+
+    def unplace(gi, c):
+        for e in groups[gi]:
+            ecolor[e] = 0
+            for v in edges[e]:
+                cnt[v][c] -= 1
+                rem[v] += 1
+
+    return backtrack(len(groups), k, place, unplace, node_budget)
 
 
 # -- reference enumerator --------------------------------------------------------

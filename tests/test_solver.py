@@ -11,6 +11,7 @@ from locirr.decompose import (
     strongly_pertinent_decomposition,
     two_path_decomposition,
 )
+from locirr.enumerate import CUBIC, SUBCUBIC_MIN2, enumerate_graphs
 from locirr.graph import (
     Graph,
     GraphError,
@@ -25,11 +26,13 @@ from locirr.solver import (
     EXCEEDED_BUDGET,
     NOT_DECOMPOSABLE,
     REFUTED,
+    _Budget,
     central_pair_ok,
     chi_irr,
     edge_order,
     element_uniform_search,
     is_decomposable,
+    search_groups,
 )
 
 
@@ -43,9 +46,8 @@ def multigraphs(draw, n_max=9):
 
 
 class TestEdgeOrder:
-    @given(multigraphs())
-    @settings(max_examples=300, deadline=None)
-    def test_component_blocks_grow_connected(self, g):
+    @staticmethod
+    def check_blocks_grow_connected(g):
         order = edge_order(g)
         assert sorted(order) == list(range(g.m))
         # each component's edges form one block, blocks ordered by least
@@ -60,12 +62,84 @@ class TestEdgeOrder:
                 assert u in touched or v in touched
             touched.update((u, v))
 
+    @given(multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_component_blocks_grow_connected(self, g):
+        self.check_blocks_grow_connected(g)
+
     def test_vertex_completion(self):
-        # C6 from vertex 0: both edges at 0, then those at 1 and 5, then 2
-        assert edge_order(cycle_graph(6)) == [0, 5, 1, 4, 2, 3]
+        # C6 from vertex 0: both edges at 0; then 1, 2, 3 and 4 in turn, each
+        # with one edge emitted and one left, the least index winning
+        assert edge_order(cycle_graph(6)) == [0, 5, 1, 2, 3, 4]
+
+    def test_fewest_edges_left_breaks_ties(self):
+        # after vertex 0, vertices 1 and 2 each have one edge emitted; 2 has
+        # one edge left and 1 two, so 2 goes first, then its leaf 5 (no edge
+        # left), then 1
+        g = Graph(6, ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5)))
+        assert edge_order(g) == [0, 1, 4, 2, 3]
 
     def test_long_path_past_recursion_limit(self):
         assert edge_order(path_graph(10_000)) == list(range(10_000))
+
+    def test_large_cubic_past_recursion_limit(self):
+        h = nx.random_regular_graph(3, 6_666, seed=0)
+        assert nx.is_connected(h)
+        g = Graph(h.number_of_nodes(), tuple(sorted(tuple(sorted(e)) for e in h.edges())))
+        assert g.m == 9_999
+        self.check_blocks_grow_connected(g)
+
+
+@st.composite
+def grouped_searches(draw):
+    """A multigraph, some of its edges in drawn order cut into groups (single
+    edges or a random partition), a random pair rule over incident groups,
+    k and a node budget."""
+    g = draw(multigraphs())
+    order = draw(st.permutations(range(g.m)))[: draw(st.integers(0, g.m))]
+    groups: list[tuple[int, ...]] = []
+    single = draw(st.booleans())
+    for e in order:
+        if groups and not single and draw(st.booleans()):
+            groups[-1] += (e,)
+        else:
+            groups.append((e,))
+    pair_ok = None
+    if draw(st.booleans()):
+        ends = [{v for e in grp for v in g.edges[e]} for grp in groups]
+        pair_ok = {
+            (i, j): draw(st.booleans())
+            for i in range(len(groups))
+            for j in range(i + 1, len(groups))
+            if ends[i] & ends[j]
+        }
+    return g, groups, draw(st.integers(1, 4)), pair_ok, draw(st.integers(0, 3_000))
+
+
+def _outcome(search, g, groups, k, pair_ok, node_budget):
+    try:
+        return search(g, groups, k, pair_ok=pair_ok, node_budget=node_budget)
+    except _Budget:
+        return "budget"
+
+
+class TestSearchGroups:
+    @given(grouped_searches())
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_closure_matches_run_time_closure(self, case):
+        # closure checks placed when the search is built give the search
+        # tree of checks found as it runs: equal (assignment, nodes), and
+        # the same budget overruns
+        assert _outcome(search_groups, *case) == _outcome(oracles.reference_search_groups, *case)
+
+    def test_node_totals_pinned(self):
+        # chi_irr nodes summed over cubic n <= 10 and subcubic-min2 n <= 8;
+        # a change to the branching order or to pruning must re-pin these
+        totals = []
+        for flt, n_max in ((CUBIC, 10), (SUBCUBIC_MIN2, 8)):
+            graphs = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n, flt)]
+            totals.append(sum(chi_irr(g, max(3, g.m // 2)).nodes for g in graphs))
+        assert totals == [8_847, 5_770]
 
 
 class TestChiIrr:
@@ -115,10 +189,10 @@ class TestChiIrr:
         assert res.nodes >= 100_000
 
     def test_budget_covers_whole_call(self):
-        # C6 spends 3, 19 and 18 nodes on k = 1, 2, 3: each level fits in 20
+        # C6 spends 3, 19 and 15 nodes on k = 1, 2, 3: each level fits in 20
         # nodes on its own, the three together do not
-        assert chi_irr(cycle_graph(6), 3).nodes == 40
-        assert chi_irr(cycle_graph(6), 3, node_budget=40).status == COLORED
+        assert chi_irr(cycle_graph(6), 3).nodes == 37
+        assert chi_irr(cycle_graph(6), 3, node_budget=37).status == COLORED
         assert chi_irr(cycle_graph(6), 3, node_budget=20).status == EXCEEDED_BUDGET
 
     def test_random_cubic_tail_within_budget(self):
