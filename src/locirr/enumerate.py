@@ -15,7 +15,9 @@ those of equal degree, the cell order of ``graph.equitable_partition``, and
 the cell order of its ``graph.distance_split``, the root partition.  A
 child that passes all four is decided by the automorphism orbits from
 ``graph.canon_adjacency``, whose search starts from that root partition;
-the same call gives the generators the child keeps as a parent.
+the same call gives the generators the child keeps as a parent.  A child
+on the last level keeps no generators, so when no non-cut vertex ties with
+its new vertex after the first two tests, it is accepted unlabeled.
 """
 
 from __future__ import annotations
@@ -175,10 +177,13 @@ def _later_cells(cells, k: int) -> int:
     return sum(cells[at + 1 :])
 
 
-def _canonical_child(child, degs, parts) -> tuple[tuple[int, ...], ...] | None:
+def _canonical_child(child, degs, parts, last: bool) -> tuple[tuple[int, ...], ...] | None:
     """Automorphism group generators of ``child`` (degrees ``degs``) if its
     last vertex k was added canonically; None means rejected.  ``parts`` is
-    ``_cut_parts`` of the parent, ``child`` minus k.
+    ``_cut_parts`` of the parent, ``child`` minus k.  ``last`` says the child
+    is on the last level, where its generators are not used: a child there
+    with no non-cut vertex tied with k is accepted unlabeled, with no
+    generators.
 
     The canonical vertex to delete is chosen among the non-cut vertices:
     first by the largest (degree, sorted neighbor degrees), then by the
@@ -224,6 +229,8 @@ def _canonical_child(child, degs, parts) -> tuple[tuple[int, ...], ...] | None:
             if higher:
                 return None
             ties |= 1 << v
+    if not ties and last:
+        return ()  # no tied vertex: no partition or orbit can reject
     cells = equitable_partition(child)
     if _later_cells(cells, k) & ties:
         return None
@@ -311,7 +318,7 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
                         continue
                     if bipartite_only and not _is_bipartite_masks(child):
                         continue
-                    child_gens = _canonical_child(child, cdegs, parts)
+                    child_gens = _canonical_child(child, cdegs, parts, k == n - 1)
                     if child_gens is not None:
                         kept.append((tuple(child), child_gens))
         level = kept

@@ -177,6 +177,8 @@ def run_campaign(
     against the color bound.  Per-level checkpointing; resuming with the same
     parameters reproduces the same final report."""
     if isinstance(family, str):
+        if family not in FAMILIES:
+            raise GraphError(f"unknown family {family!r}")
         name = family
         flt = FAMILIES[family]
     else:
@@ -186,6 +188,8 @@ def run_campaign(
         raise GraphError(f"unknown method {method!r}")
     if n_max < 0:
         raise GraphError(f"n_max must be nonnegative, got {n_max}")
+    if bound < 1:
+        raise GraphError(f"bound must be at least 1, got {bound}")
     if jobs < 1:
         raise GraphError(f"jobs must be at least 1, got {jobs}")
     check_budget(node_budget)

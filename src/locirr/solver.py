@@ -3,29 +3,35 @@
 One explicit-stack engine, ``backtrack``, runs every exact search in the
 package: it assigns colors to positions in canonical color order through
 caller-supplied ``place``/``unplace`` hooks, counts one node per placement
-attempt, and raises ``_Budget`` past the node budget.  ``search_groups`` puts
-the locally irregular coloring search on top of it: positions are *groups* of
-edges (single edges for chi_irr, whole decomposition elements for
-element-uniform search, vertex bundles for the balanced-forest colorer, edge
-halves for the subdivision colorer).  Pruning is by closure: once every
-active edge at both endpoints of an edge is colored, the equal-degree test
-for that edge is final and can cut the branch.  The position that completes
-a vertex depends only on the group order, so ``search_groups`` fixes each
-edge's test at one position when the search is built, and a placement
-checks only the edges listed there.  Every search branches in
+attempt, and raises ``_Budget`` past the node budget.  Its per-node loop
+makes no builtin calls (the color bounds are plain comparisons) and compares
+the count with an int cap, ``sys.maxsize`` when there is no budget.
+``search_groups`` puts the locally irregular coloring search on top of it:
+positions are *groups* of edges (single edges for chi_irr, whole
+decomposition elements for element-uniform search, vertex bundles for the
+balanced-forest colorer, edge halves for the subdivision colorer).  Pruning
+is by closure: once every active edge at both endpoints of an edge is
+colored, the equal-degree test for that edge is final and can cut the
+branch.  The position that completes a vertex depends only on the group
+order, so ``search_groups`` fixes each edge's test at one position when the
+search is built, in the same pass that lists each position's edges, and a
+placement checks only the edges listed there; a placement that fails a
+check undoes its counts in place.  Every search branches in
 ``edge_order``, a greedy vertex-completion order (maximum cardinality
 search, ties to the vertex with the fewest edges left), so vertices become
-complete early and closure cuts a bad branch soon after it is made; searches
-over decomposition elements, the decomposer's colorability check included,
-take the elements in ``in_edge_order``, by their first edge in that order.  The
-parity and proper edge-coloring searches in ``constructive`` use the engine
-with their own hooks.  A node budget given to ``chi_irr`` or
-``element_uniform_search`` covers the whole call, all k together.
+complete early and closure cuts a bad branch soon after it is made;
+searches over decomposition elements, the decomposer's colorability check
+included, take the elements in ``in_edge_order``, by their first edge in
+that order.  The parity and proper edge-coloring searches in
+``constructive`` use the engine with their own hooks.  A node budget given
+to ``chi_irr`` or ``element_uniform_search`` covers the whole call, all k
+together.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from dataclasses import dataclass
 
@@ -98,16 +104,18 @@ def backtrack(n: int, k: int, place, unplace, node_budget: int | None = None):
     raised once the count passes ``node_budget``.  Returns
     (assignment | None, nodes).
     """
-    cap = float("inf") if node_budget is None else node_budget
+    cap = sys.maxsize if node_budget is None else node_budget
     assign = [0] * n
     top = [0] * (n + 1)  # top[i]: highest color used by positions before i
     nodes = 0
     i = 0
+    # the loop is the cost of every node: plain comparisons, no builtin calls
     while i < n:
         c = assign[i]
         if c:
             unplace(i, c)
-        hi = min(top[i] + 1, k)
+        t = top[i]
+        hi = t + 1 if t < k else k
         while c < hi:
             c += 1
             nodes += 1
@@ -115,7 +123,7 @@ def backtrack(n: int, k: int, place, unplace, node_budget: int | None = None):
                 raise _Budget
             if place(i, c):
                 assign[i] = c
-                top[i + 1] = max(top[i], c)
+                top[i + 1] = c if c > t else t
                 i += 1
                 break
         else:
@@ -152,13 +160,17 @@ def search_groups(
         for e in grp:
             u, v = edges[e]
             last[u] = last[v] = gi
-    ends: list[list] = [[] for _ in groups]  # (edge, cnt rows of its ends)
+    ends: list[list] = []  # (edge, cnt rows of its ends) per position
     closing: list[list] = [[] for _ in groups]  # edges judged at each position
-    for gi, grp in enumerate(groups):
+    for grp in groups:
+        row = []
         for e in grp:
             u, v = edges[e]
-            ends[gi].append((e, cnt[u], cnt[v]))
-            closing[max(last[u], last[v])].append((e, cnt[u], cnt[v]))
+            entry = (e, cnt[u], cnt[v])
+            row.append(entry)
+            lu, lv = last[u], last[v]
+            closing[lu if lu > lv else lv].append(entry)
+        ends.append(row)
     # pair rule: first edges of the incident earlier groups that may not
     # share this group's color
     barred: list[tuple[int, ...]] = [()] * len(groups)
@@ -171,14 +183,17 @@ def search_groups(
         for f in barred[gi]:
             if ecolor[f] == c:
                 return False
-        for e, cu, cv in ends[gi]:
+        row = ends[gi]
+        for e, cu, cv in row:
             ecolor[e] = c
             cu[c] += 1
             cv[c] += 1
         for f, cu, cv in closing[gi]:
             d = ecolor[f]
             if cu[d] == cv[d]:
-                unplace(gi, c)
+                for _, cu, cv in row:  # undone in place, without a call
+                    cu[c] -= 1
+                    cv[c] -= 1
                 return False
         return True
 

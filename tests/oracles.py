@@ -1,11 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code with the package beyond the Graph container; every
-check is a direct transcription of the relevant definition.  Two
-exceptions are earlier, slower forms of package code: the reference closure
-search runs on the package's search engine, and the reference enumerator at
-the end, the earlier rejection order of the canonical construction path,
-runs on the package's labeler and its bipartite test.
+check is a direct transcription of the relevant definition.  The one
+exception is the reference enumerator at the end, an earlier, slower form
+of package code: the earlier rejection order of the canonical construction
+path, run on the package's labeler and its bipartite test.  The reference
+closure search runs on ``reference_backtrack``, a recursive search of its
+own, so the package's engine is checked against independent code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import networkx as nx
 
 from locirr.enumerate import _is_bipartite_masks
 from locirr.graph import Graph, canon_adjacency, root_partition
-from locirr.solver import backtrack
+from locirr.solver import _Budget
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -204,6 +205,34 @@ def two_path_partitions(g: Graph, edges: list[int]) -> list[list[tuple[int, int]
 # -- reference closure search --------------------------------------------------
 
 
+def reference_backtrack(n: int, k: int, place, unplace, node_budget=None):
+    """``solver.backtrack`` by recursion: colors 1..k go to positions
+    0..n-1 in increasing order, and a position may open at most one color
+    beyond the highest used before it.  Each ``place`` call counts one
+    node; _Budget is raised once the count passes ``node_budget``.  Returns
+    (assignment | None, nodes)."""
+    assign = [0] * n
+    nodes = 0
+
+    def rec(i: int, used: int) -> bool:
+        nonlocal nodes
+        if i == n:
+            return True
+        for c in range(1, min(used + 1, k) + 1):
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise _Budget
+            if place(i, c):
+                assign[i] = c
+                if rec(i + 1, max(used, c)):
+                    return True
+                unplace(i, c)
+        return False
+
+    return (assign if rec(0, 0) else None), nodes
+
+
+
 def reference_search_groups(g: Graph, groups, k, pair_ok=None, node_budget=None):
     """``solver.search_groups`` with its closure found as the search runs:
     per-vertex counters of uncolored active edges say when a vertex becomes
@@ -257,7 +286,7 @@ def reference_search_groups(g: Graph, groups, k, pair_ok=None, node_budget=None)
                 cnt[v][c] -= 1
                 rem[v] += 1
 
-    return backtrack(len(groups), k, place, unplace, node_budget)
+    return reference_backtrack(len(groups), k, place, unplace, node_budget)
 
 
 # -- reference enumerator --------------------------------------------------------

@@ -211,8 +211,15 @@ class TestCampaignCli:
 
     @pytest.mark.parametrize(
         "extra",
-        [("--budget", "-5"), ("--jobs", "0"), ("--jobs", "-1"), ("--max-n", "-1")],
-        ids=["budget-5", "jobs0", "jobs-1", "max-n-1"],
+        [
+            ("--budget", "-5"),
+            ("--jobs", "0"),
+            ("--jobs", "-1"),
+            ("--max-n", "-1"),
+            ("--bound", "0"),
+            ("--bound", "-1"),
+        ],
+        ids=["budget-5", "jobs0", "jobs-1", "max-n-1", "bound0", "bound-1"],
     )
     def test_invalid_sizes(self, capsys, extra):
         # a later --max-n overrides the one _campaign passes

@@ -219,6 +219,22 @@ class TestReferenceEnumerator:
         assert calls["split"] <= 3_200
         assert calls["label"] == 2_678
 
+    def test_untied_last_level_children_unlabeled(self, monkeypatch):
+        # subcubic-min2 n=1..10 makes 1,960 labelings when every child that
+        # passes the cheap tests is labeled; the 131 last-level children
+        # with no non-cut vertex tied with the new one are accepted unlabeled
+        calls = {"label": 0}
+
+        def counted(*args):
+            calls["label"] += 1
+            return label(*args)
+
+        label = enum_mod.canon_adjacency
+        monkeypatch.setattr(enum_mod, "canon_adjacency", counted)
+        for n in range(1, 11):
+            count(n, SUBCUBIC_MIN2)
+        assert calls["label"] == 1_829
+
 
 def _connected_atlas(n):
     for h in oracles.atlas(n):

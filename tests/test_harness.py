@@ -70,15 +70,23 @@ class TestCampaign:
         assert serial.to_json() == parallel.to_json()
 
     @pytest.mark.parametrize(
-        "kwargs", [{"n_max": -1}, {"jobs": 0}, {"jobs": -1}, {"node_budget": -5}]
+        "kwargs",
+        [
+            {"n_max": -1},
+            {"jobs": 0},
+            {"jobs": -1},
+            {"node_budget": -5},
+            {"bound": 0},
+            {"bound": -1},
+            {"family": "nope"},
+        ],
     )
     def test_invalid_arguments_rejected(self, kwargs, tmp_path):
         # rejected before any level runs, so no checkpoint is written
         ckpt = tmp_path / "campaign.json"
-        args = {"n_max": 6, **kwargs}
-        n_max = args.pop("n_max")
+        args = {"family": "cubic", "n_max": 6, "bound": 3, **kwargs}
         with pytest.raises(GraphError):
-            run_campaign("cubic", n_max, 3, checkpoint=str(ckpt), **args)
+            run_campaign(checkpoint=str(ckpt), **args)
         assert not ckpt.exists()
 
     def test_checkpoint_resume_after_budget(self, tmp_path):

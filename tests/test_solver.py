@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from locirr.solver import (
     NOT_DECOMPOSABLE,
     REFUTED,
     _Budget,
+    backtrack,
     central_pair_ok,
     chi_irr,
     edge_order,
@@ -90,6 +94,48 @@ class TestEdgeOrder:
         self.check_blocks_grow_connected(g)
 
 
+def _random_hooks(seed: int, p: float):
+    """``place``/``unplace`` hooks that accept color c at position i with
+    probability p, by a coin seeded with (seed, the colors placed so far,
+    c): the same partial assignment gets the same answer in any engine.
+    The hooks also check the engine's contract: placements and undos come
+    in stack order."""
+    placed: list[int] = []
+
+    def place(i, c):
+        assert len(placed) == i
+        ok = random.Random(repr((seed, placed, c))).random() < p
+        if ok:
+            placed.append(c)
+        return ok
+
+    def unplace(i, c):
+        assert len(placed) == i + 1 and placed[-1] == c
+        placed.pop()
+
+    return place, unplace
+
+
+class TestBacktrack:
+    @given(
+        st.integers(0, 8),
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+        st.floats(0, 1),
+        st.none() | st.integers(0, 2_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive_reference(self, n, k, seed, p, node_budget):
+        # equal (assignment, nodes), or both engines out of budget
+        outcomes = []
+        for search in (backtrack, oracles.reference_backtrack):
+            try:
+                outcomes.append(search(n, k, *_random_hooks(seed, p), node_budget))
+            except _Budget:
+                outcomes.append("budget")
+        assert outcomes[0] == outcomes[1]
+
+
 @st.composite
 def grouped_searches(draw):
     """A multigraph, some of its edges in drawn order cut into groups (single
@@ -140,6 +186,18 @@ class TestSearchGroups:
             graphs = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n, flt)]
             totals.append(sum(chi_irr(g, max(3, g.m // 2)).nodes for g in graphs))
         assert totals == [8_847, 5_770]
+
+    def test_solver_outputs_pinned(self):
+        # one sha256 over (k, nodes, colors) of the same solves: the node
+        # totals above can hold while the colorings found change
+        h = hashlib.sha256()
+        for flt, n_max in ((CUBIC, 10), (SUBCUBIC_MIN2, 8)):
+            for n in range(1, n_max + 1):
+                for g in enumerate_graphs(n, flt):
+                    res = chi_irr(g, max(3, g.m // 2))
+                    colors = res.coloring.colors if res.coloring else None
+                    h.update(repr((res.k, res.nodes, colors)).encode())
+        assert h.hexdigest() == "078cc44cf30e39e98748e8f556901f20cf862eb4cdb0be17b7a7c5cbf9dfe5cb"
 
 
 class TestChiIrr:
