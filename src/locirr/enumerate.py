@@ -18,6 +18,15 @@ child that passes all four is decided by the automorphism orbits from
 the same call gives the generators the child keeps as a parent.  A child
 on the last level keeps no generators, so when no non-cut vertex ties with
 its new vertex after the first two tests, it is accepted unlabeled.
+
+The deletion rule also bounds what can come after a prefix (see
+``_prune``).  A full last vertex stays non-cut and outranks any later vertex
+of lower degree, so every later vertex is added full, with all its edges
+into the prefix (rule 1).  If that vertex's neighbors are full too, its key
+is the largest possible, so every later vertex must make all its neighbors
+full, and only vertices one short of full take later edges (rule 2).  A
+prefix whose room cannot meet these has no descendant of the target size
+and is dropped; since no table spans parents, the output is unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +48,10 @@ class GraphClassFilter:
     edge_parity: str | None = None  # "even" | "odd"
 
     def __post_init__(self):
+        for name in ("max_degree", "min_degree", "regular"):
+            bound = getattr(self, name)
+            if bound is not None and bound < 0:
+                raise GraphError(f"{name} must be nonnegative, got {bound}")
         if (
             self.max_degree is not None
             and self.min_degree is not None
@@ -98,7 +111,28 @@ def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
     Among other bounds: each of the r vertices still to come has at most
     r - 1 later neighbors, so at least lo - r + 1 in the prefix, and a
     connected graph joins the prefix to them by at least one edge; the
-    prefix's spare degree sum(hi - d) must cover both."""
+    prefix's spare degree sum(hi - d) must cover both.
+
+    Two more follow from the deletion rule of ``_canonical_child`` when the
+    prefix's last vertex k is full (degree hi):
+
+    1. k is non-cut in every descendant: no later vertex can join it, and
+       the descendant minus k is built like the prefix minus k, each new
+       vertex joined to a connected graph.  So a later vertex of degree
+       below hi is rejected by k's higher degree, and every later vertex is
+       added full.  The r of them are then pairwise non-adjacent, each with
+       hi edges into the prefix, and a prefix vertex v takes at most
+       min(hi - d_v, r) of them.
+    2. If every neighbor of k is full too, k's key (hi, (hi, ..., hi)) is
+       the largest there is, and it never changes, so every later vertex
+       must make each of its neighbors full.  A prefix vertex two or more
+       short of hi then takes no later edge and must already reach lo; one
+       short of hi takes at most one.
+
+    A prefix that fails either bound has no descendant on n vertices.  A
+    parent's children depend on that parent alone (orbits, cut structure,
+    generators), so dropping such a prefix leaves every other node, its
+    generators and the order of the output unchanged."""
     r = n - len(masks)
     need_total = 0
     deficit_total = 0
@@ -120,6 +154,21 @@ def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
             return False
         if (hi * r - deficit_total) % 2:
             return False
+    if r and degs[-1] == hi:
+        full = room = room_short = 0  # room_short: room under rule 2
+        stuck = False  # a vertex two or more short of hi is below lo (rule 2)
+        for v, d in enumerate(degs):
+            if d == hi:
+                full |= 1 << v
+                continue
+            room += min(hi - d, r)
+            if d == hi - 1:
+                room_short += 1
+            elif d < lo:
+                stuck = True
+        if masks[-1] & ~full:
+            return room >= hi * r
+        return not stuck and room_short >= hi * r
     return True
 
 

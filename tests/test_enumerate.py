@@ -173,6 +173,9 @@ MASK_FAMILIES = {
     "subcubic-min2": (range(1, 10), lambda n: (2, 3, False, False)),
     "connected": (range(1, 8), lambda n: (min(n - 1, 1), n - 1, False, False)),
     "bipartite": (range(1, 8), lambda n: (min(n - 1, 1), n - 1, False, True)),
+    "subcubic": (range(1, 10), lambda n: (min(n - 1, 1), 3, False, False)),
+    "4-regular": (range(1, 11), lambda n: (4, 4, True, False)),
+    "min3-max4": (range(1, 9), lambda n: (3, 4, False, False)),
 }
 
 
@@ -201,7 +204,10 @@ class TestReferenceEnumerator:
         # deterministic counts on cubic n=4..12; the reference order makes
         # 22,400 child tests, 8,423 distance splits and 4,247 labelings.
         # Orbit pruning builds one child per orbit of neighbor subsets, so
-        # 2,668 of the 2,678 labeled children are kept
+        # 2,668 of the 2,678 labeled children are kept.  The prune's rules
+        # for a full last vertex drop prefixes with no 12-vertex descendant:
+        # child tests 11,618 -> 5,853, splits 3,122 -> 1,769 and labelings
+        # 2,678 -> 1,329
         calls = {"child": 0, "split": 0, "label": 0}
 
         def counted(name, fn):
@@ -215,14 +221,16 @@ class TestReferenceEnumerator:
         monkeypatch.setattr(enum_mod, "distance_split", counted("split", enum_mod.distance_split))
         monkeypatch.setattr(enum_mod, "canon_adjacency", counted("label", enum_mod.canon_adjacency))
         assert [count(n, CUBIC) for n in range(4, 13, 2)] == [1, 2, 5, 19, 85]
-        assert calls["child"] <= 11_700
-        assert calls["split"] <= 3_200
-        assert calls["label"] == 2_678
+        assert calls["child"] <= 5_900
+        assert calls["split"] <= 1_800
+        assert calls["label"] == 1_329
 
     def test_untied_last_level_children_unlabeled(self, monkeypatch):
         # subcubic-min2 n=1..10 makes 1,960 labelings when every child that
         # passes the cheap tests is labeled; the 131 last-level children
-        # with no non-cut vertex tied with the new one are accepted unlabeled
+        # with no non-cut vertex tied with the new one are accepted unlabeled,
+        # which left 1,829; the prune's rules for a full last vertex leave
+        # 1,410
         calls = {"label": 0}
 
         def counted(*args):
@@ -233,7 +241,7 @@ class TestReferenceEnumerator:
         monkeypatch.setattr(enum_mod, "canon_adjacency", counted)
         for n in range(1, 11):
             count(n, SUBCUBIC_MIN2)
-        assert calls["label"] == 1_829
+        assert calls["label"] == 1_410
 
 
 def _connected_atlas(n):
@@ -269,14 +277,20 @@ class TestCutParts:
 class TestPrune:
     def test_construction_prefixes_pass(self):
         # the vertex ids of a yielded graph are its construction order, so
-        # every prefix 0..k-1 was kept at its level and must pass the prune
+        # every prefix 0..k-1 was kept at its level and must pass the prune.
+        # The rules for a full last vertex hold for any hi, so families with
+        # hi = 4 and hi = n - 1 are checked too
         families = (
-            (CUBIC, range(4, 13, 2), 3, 3, True),
-            (SUBCUBIC_MIN2, range(2, 11), 2, 3, False),
-            (SUBCUBIC, range(2, 10), 1, 3, False),
+            (CUBIC, range(4, 13, 2), lambda n: (3, 3, True)),
+            (SUBCUBIC_MIN2, range(2, 11), lambda n: (2, 3, False)),
+            (SUBCUBIC, range(2, 10), lambda n: (1, 3, False)),
+            (GraphClassFilter(regular=4), range(5, 11), lambda n: (4, 4, True)),
+            (GraphClassFilter(min_degree=3, max_degree=4), range(4, 9), lambda n: (3, 4, False)),
+            (CONNECTED, range(2, 8), lambda n: (1, n - 1, False)),
         )
-        for flt, sizes, lo, hi, regular in families:
+        for flt, sizes, bounds in families:
             for n in sizes:
+                lo, hi, regular = bounds(n)
                 for g in enumerate_graphs(n, flt):
                     masks = g.adjacency_masks
                     for k in range(1, n + 1):
@@ -293,6 +307,27 @@ class TestPrune:
         assert oracles.reference_prune(prefix, degs, 6, 3, 3, True)
         assert not _prune(prefix, degs, 6, 3, 3, True)
 
+    @pytest.mark.parametrize(
+        "prefix,n",
+        [
+            # rule 1: K4 minus an edge, degrees 3,2,2,3, last vertex full.
+            # Every later vertex must be added full, so the four still to
+            # come need 12 edges into the prefix, which has room for 2
+            ([0b1110, 0b1001, 0b1001, 0b0111], 8),
+            # rule 2: vertex 7 joins the full vertices 1, 2 and 5; vertices
+            # 3, 4 and 6 are pendant.  Rule 1's room, 2 for each pendant
+            # vertex, covers the 6 edges of the two vertices to come, but a
+            # later vertex may only join vertices one short of full, so the
+            # pendant vertices never reach degree 3
+            ([0b100110, 0b10001001, 0b10010001, 0b10, 0b100, 0b11000001, 0b100000, 0b100110], 10),
+        ],
+        ids=["rule1", "rule2"],
+    )
+    def test_full_last_vertex(self, prefix, n):
+        degs = [m.bit_count() for m in prefix]
+        assert oracles.reference_prune(prefix, degs, n, 3, 3, True)
+        assert not _prune(prefix, degs, n, 3, 3, True)
+
 
 class TestFilterValidation:
     def test_inconsistent_bounds(self):
@@ -302,3 +337,12 @@ class TestFilterValidation:
             GraphClassFilter(regular=3, max_degree=2)
         with pytest.raises(GraphError):
             GraphClassFilter(edge_parity="sometimes")
+
+    @pytest.mark.parametrize(
+        "name,bound", [("max_degree", -1), ("min_degree", -1), ("regular", -2)]
+    )
+    def test_negative_degree_bound(self, name, bound):
+        # these once enumerated nothing (max_degree, regular) or ran as if
+        # the bound were 0 (min_degree)
+        with pytest.raises(GraphError):
+            GraphClassFilter(**{name: bound})
