@@ -4,8 +4,8 @@
 Enumerates the connected cubic graphs on n vertices for every even n from 4
 to N (default 16) and prints each count with the seconds it took.  Exits 1
 as soon as a count differs from A002851.  The tier-1 tests stop at n = 14;
-on one core of a shared 2-vCPU host, n = 14 (509 graphs) takes about 6 s
-and n = 16 (4060 graphs) about 81 s.
+on one core of a shared 2-vCPU host, n = 14 (509 graphs) takes about 4 s
+and n = 16 (4060 graphs) about 57 s.
 
     PYTHONPATH=src python3 scripts/count_cubic.py [N]
 """

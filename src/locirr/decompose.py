@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, json_int
 
 TWO_PATH = "2path"
 CLAW = "claw"
@@ -88,7 +88,7 @@ class Decomposition:
     def from_json(g: Graph, text: str) -> "Decomposition":
         try:
             data = json.loads(text)
-            items = [tuple(int(e) for e in item["edges"]) for item in data["elements"]]
+            items = [tuple(map(json_int, item["edges"])) for item in data["elements"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad decomposition JSON: {exc}") from exc
         if sorted(e for edges in items for e in edges) != list(range(g.m)):

@@ -12,8 +12,10 @@ sizes that cannot give a canonical child.  Each child is rejected by the
 first of four tests, cheapest first, that decides: the degrees of the
 non-cut vertices against the new vertex's, the sorted neighbor degrees of
 those of equal degree, the cell order of ``graph.equitable_partition``, and
-the cell order of its ``graph.distance_split``, the root partition.  A
-child that passes all four is decided by the automorphism orbits from
+the cell order of its ``graph.distance_split``, the root partition.  The
+two partitions are passed the new vertex and its tied vertices, and stop
+refining as soon as a tied vertex falls in a later cell.  A child that
+passes all four is decided by the automorphism orbits from
 ``graph.canon_adjacency``, whose search starts from that root partition;
 the same call gives the generators the child keeps as a parent.  A child
 on the last level keeps no generators, so when no non-cut vertex ties with
@@ -220,12 +222,6 @@ def _cut_parts(masks) -> list[list[int]]:
     return parts
 
 
-def _later_cells(cells, k: int) -> int:
-    """The vertices in the cells of ``cells`` after the one holding ``k``."""
-    at = next(i for i, c in enumerate(cells) if c >> k & 1)
-    return sum(cells[at + 1 :])
-
-
 def _canonical_child(child, degs, parts, last: bool) -> tuple[tuple[int, ...], ...] | None:
     """Automorphism group generators of ``child`` (degrees ``degs``) if its
     last vertex k was added canonically; None means rejected.  ``parts`` is
@@ -244,9 +240,11 @@ def _canonical_child(child, degs, parts, last: bool) -> tuple[tuple[int, ...], .
     ``distance_split``, the root partition, which is then handed to the
     labeler.  Orbit ids follow the order of the root cells, and the root
     partition refines the equitable one in its cell order, so a tied vertex
-    in a later cell than k of either partition rejects the child.  k itself
-    is never a cut vertex, and v < k is one iff k's other neighbors miss a
-    part of v (see ``_cut_parts``).
+    in a later cell than k of either partition rejects the child.  Both are
+    given ``(k, ties)`` and return None as soon as a tied vertex falls
+    behind k: a cell's fragments stay where it stood, so no further
+    refinement brings it back.  k itself is never a cut vertex, and v < k
+    is one iff k's other neighbors miss a part of v (see ``_cut_parts``).
     """
     k = len(child) - 1
     s = child[k]
@@ -280,11 +278,11 @@ def _canonical_child(child, degs, parts, last: bool) -> tuple[tuple[int, ...], .
             ties |= 1 << v
     if not ties and last:
         return ()  # no tied vertex: no partition or orbit can reject
-    cells = equitable_partition(child)
-    if _later_cells(cells, k) & ties:
+    cells = equitable_partition(child, k, ties)
+    if cells is None:
         return None
-    cells = distance_split(child, cells)
-    if _later_cells(cells, k) & ties:
+    cells = distance_split(child, cells, k, ties)
+    if cells is None:
         return None
     _, orbit, generators = canon_adjacency(child, cells)
     if any(ties >> v & 1 and orbit[v] > orbit[k] for v in range(k)):

@@ -161,13 +161,22 @@ class Graph:
     def from_json(text: str) -> "Graph":
         try:
             data = json.loads(text)
-            return Graph(
-                int(data["n"]),
-                tuple((int(u), int(v)) for u, v in data["edges"]),
-                multigraph=bool(data.get("multigraph", False)),
-            )
+            n = json_int(data["n"])
+            edges = tuple((json_int(u), json_int(v)) for u, v in data["edges"])
+            multigraph = data.get("multigraph", False)
+            if type(multigraph) is not bool:
+                raise GraphError(f"multigraph must be true or false, got {multigraph!r}")
+            return Graph(n, edges, multigraph=multigraph)
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad graph JSON: {exc}") from exc
+
+
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer, else GraphError: a float, string or
+    boolean is rejected, not truncated or coerced by ``int()``."""
+    if type(value) is not int:
+        raise GraphError(f"expected an integer, got {value!r}")
+    return value
 
 
 # -- constructions ----------------------------------------------------------
@@ -310,6 +319,16 @@ def write_graph6(g: Graph) -> str:
 # The labeler works on ordered partitions: lists of cells, each cell a
 # vertex mask.  McKay, "Practical graph isomorphism" (1981); McKay & Piperno,
 # "Practical graph isomorphism, II" (2014).
+#
+# Refinement does only the work that can change its result.  A splitter
+# can split only the cells that meet its vertices' neighborhoods, so
+# ``_refine`` skips the others.  ``equitable_partition`` starts from the
+# degree cells, where a one-cell start stands after its first splitter.
+# And a fragment replaces its cell where the cell stood, so a vertex in a
+# later cell than vertex k stays in a later cell than k in every
+# refinement.  Enumeration only asks whether some watched vertex ends up
+# after k, so ``equitable_partition`` and ``distance_split`` take k and a
+# watch mask and stop with None as soon as the answer is yes.
 
 
 def _vertices(mask: int) -> list[int]:
@@ -322,70 +341,100 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
-def _split(cells: list[int], classes: list[int], splitters: list[int]) -> None:
-    """Split every cell of ``cells`` in place by the disjoint vertex masks
-    ``classes``, which cover every vertex of a non-singleton cell.
+def _watch_cell(cells: list[int], k: int, watch: int) -> int | None:
+    """``watch`` cut down to ``k``'s cell of ``cells``, or None if a watched
+    vertex lies in a later cell."""
+    at = next(i for i, c in enumerate(cells) if c >> k & 1)
+    if sum(cells[at + 1 :]) & watch:
+        return None
+    return watch & cells[at]
 
-    Fragments replace their cell in the order of ``classes``.  Every
-    fragment but the first largest is appended to ``splitters``: once the
-    partition is equitable against the whole cell, the counts against that
-    one fragment follow from the others' (Hopcroft).
+
+def _split_cell(
+    cells: list[int], i: int, frags: list[int], splitters: list[int], k: int, watch: int
+) -> int | None:
+    """Replace ``cells[i]`` by its ordered fragments ``frags`` and return the
+    watch mask left, or None if a watched vertex is now after ``k``'s cell.
+
+    Every fragment but the first largest is appended to ``splitters``: once
+    the partition is equitable against the whole cell, the counts against
+    that one fragment follow from the others' (Hopcroft).  ``watch`` lies in
+    ``k``'s cell; when that cell is the one split, the watch shrinks to
+    ``k``'s fragment, and a watched vertex in a later fragment rejects.
     """
-    i = 0
-    while i < len(cells):
-        c = cells[i]
-        i += 1
-        if not c & (c - 1):
-            continue
-        frags = [f for x in classes if (f := c & x)]
-        if len(frags) > 1:
-            cells[i - 1 : i] = frags
-            i += len(frags) - 1
-            sizes = [f.bit_count() for f in frags]
-            big = sizes.index(max(sizes))
-            splitters += frags[:big] + frags[big + 1 :]
+    c = cells[i]
+    cells[i : i + 1] = frags
+    sizes = [f.bit_count() for f in frags]
+    big = sizes.index(max(sizes))
+    splitters += frags[:big] + frags[big + 1 :]
+    return _watch_cell(frags, k, watch) if c & watch else watch
 
 
-def _count_classes(masks: Sequence[int], w: int) -> list[int]:
-    """The vertices with 0, 1, 2, ... neighbors in ``w``, as masks in
-    ascending count order, empty ones left out.
-
-    The counts are summed bit-sliced: ``planes[j]`` holds bit j of every
-    vertex's count, so each vertex of ``w`` costs a few mask operations.
-    """
-    planes: list[int] = []
-    while w:
-        low = w & -w
-        w ^= low
-        carry = masks[low.bit_length() - 1]
-        for j, p in enumerate(planes):
-            planes[j] = p ^ carry
-            carry &= p
-            if not carry:
-                break
-        else:
-            planes.append(carry)
-    classes = [(1 << len(masks)) - 1]
-    for p in reversed(planes):
-        classes = [x for c in classes for x in (c & ~p, c & p) if x]
-    return classes
-
-
-def _refine(masks: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+def _refine(
+    masks: Sequence[int], cells: list[int], splitters: list[int], k: int = -1, watch: int = 0
+) -> list[int] | None:
     """Refine the ordered partition ``cells`` in place and return it.
 
     Each splitter mask ``w`` splits every non-singleton cell by the number
     of neighbors its vertices have in ``w``, ``(masks[v] & w).bit_count()``,
     fragments in ascending count order, and the new fragments become
-    splitters in turn (``_split``).  When the splitters account for every
+    splitters in turn (``_split_cell``).  Only a cell that meets the
+    neighborhood of ``w`` can split, so the others are skipped.  A
+    singleton ``{v}`` splits a cell into its non-neighbors and neighbors of
+    ``v``; a larger ``w`` sums the counts bit-sliced, ``planes[j]`` holding
+    bit j of every vertex's count, and a touched cell is split by the
+    planes from the highest bit down.  When the splitters account for every
     cell (the vertex set for a one-cell partition; ``{v}`` after ``v`` is
     individualized in an equitable partition), the result is the coarsest
     equitable refinement.  Fragment order depends only on counts, so the
     result commutes with relabeling.
+
+    ``watch`` is a mask inside ``k``'s cell; the refinement stops with None
+    as soon as a watched vertex falls in a later fragment than ``k``.  No
+    later split can undo that, since fragments stay where their cell stood.
+    The watch then shrinks to ``k``'s fragment.  With no watch (0), the
+    partition is refined to the end.
     """
     n = len(masks)
     while splitters and len(cells) < n:
-        _split(cells, _count_classes(masks, splitters.pop()), splitters)
+        w = splitters.pop()
+        if w & (w - 1):
+            planes: list[int] | None = []
+            touch = 0
+            while w:
+                low = w & -w
+                w ^= low
+                carry = masks[low.bit_length() - 1]
+                touch |= carry
+                for j, p in enumerate(planes):
+                    planes[j] = p ^ carry
+                    carry &= p
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            planes.reverse()
+        else:
+            touch = masks[w.bit_length() - 1]
+            planes = None
+        i = 0
+        while i < len(cells):
+            c = cells[i]
+            i += 1
+            if not c & touch or not c & (c - 1):
+                continue
+            if planes is None:
+                rest = c & ~touch
+                frags = [rest, c ^ rest] if rest else [c]
+            else:
+                frags = [c]
+                for p in planes:
+                    frags = [x for f in frags for x in (f & ~p, f & p) if x]
+            if len(frags) > 1:
+                watch = _split_cell(cells, i - 1, frags, splitters, k, watch)
+                if watch is None:
+                    return None
+                i += len(frags) - 1
     return cells
 
 
@@ -406,34 +455,82 @@ def _distance_profile(masks: Sequence[int], v: int) -> tuple[int, ...]:
         out.append(frontier.bit_count())
 
 
-def equitable_partition(masks: Sequence[int]) -> list[int]:
-    """The coarsest equitable ordered partition: one cell refined against
-    the all-vertices splitter, which splits it by degree first."""
+def equitable_partition(masks: Sequence[int], k: int = -1, watch: int = 0) -> list[int] | None:
+    """The coarsest equitable ordered partition, or None once a vertex of
+    ``watch`` lies in a later cell than ``k``.
+
+    It starts from the degree cells in ascending degree order, every cell
+    but the first largest a splitter: the state of a one-cell partition
+    after the all-vertices splitter has split it by degree.  The watch
+    decides as soon as it can (see ``_refine``); with none, the partition
+    is refined to the end.
+    """
     n = len(masks)
     if n == 0:
         return []
-    return _refine(masks, [(1 << n) - 1], [(1 << n) - 1])
+    by_degree: dict[int, int] = {}
+    for v, m in enumerate(masks):
+        d = m.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [(1 << n) - 1]
+    splitters: list[int] = []
+    degree_cells = [by_degree[d] for d in sorted(by_degree)]
+    watch = _split_cell(cells, 0, degree_cells, splitters, k, watch)
+    if watch is None:
+        return None
+    return _refine(masks, cells, splitters, k, watch)
 
 
-def distance_split(masks: Sequence[int], cells: list[int]) -> list[int]:
+def distance_split(
+    masks: Sequence[int], cells: list[int], k: int = -1, watch: int = 0
+) -> list[int] | None:
     """Split the tied cells of the equitable partition ``cells`` by distance
     profile, refine again, and return it; ``cells`` is changed in place.
 
     Distance profiles separate many vertices of regular graphs that degree
-    leaves in one cell.  Every cell is replaced by its fragments where it
-    stood, so the result refines ``cells`` and keeps its cell order.
+    leaves in one cell.  Every cell is replaced by its fragments, in
+    ascending profile order, where it stood, so the result refines
+    ``cells`` and keeps its cell order.  With a watch, the result is None
+    once a vertex of ``watch`` lies in a later cell than ``k``: first on
+    ``cells`` as given, then, before any other vertex is profiled, when a
+    watched vertex of ``k``'s cell has a larger profile than ``k``, and
+    then during the refinement (see ``_refine``).
     """
-    if len(cells) < len(masks):
-        by_profile: dict[tuple[int, ...], int] = {}
-        for c in cells:
-            if c & (c - 1):
-                for v in _vertices(c):
-                    p = _distance_profile(masks, v)
-                    by_profile[p] = by_profile.get(p, 0) | 1 << v
-        splitters: list[int] = []
-        _split(cells, [by_profile[p] for p in sorted(by_profile)], splitters)
-        _refine(masks, cells, splitters)
-    return cells
+    if watch:
+        watch = _watch_cell(cells, k, watch)
+        if watch is None:
+            return None
+    if len(cells) == len(masks):
+        return cells
+    by_profile: dict[tuple[int, ...], int] = {}
+    done = 0  # the vertices profiled so far
+    if watch:
+        mine = _distance_profile(masks, k)
+        by_profile[mine] = done = 1 << k
+        for v in _vertices(watch):
+            p = _distance_profile(masks, v)
+            if p > mine:
+                return None
+            by_profile[p] = by_profile.get(p, 0) | 1 << v
+        done |= watch
+    for c in cells:
+        if c & (c - 1):
+            for v in _vertices(c & ~done):
+                p = _distance_profile(masks, v)
+                by_profile[p] = by_profile.get(p, 0) | 1 << v
+    classes = [by_profile[p] for p in sorted(by_profile)]
+    splitters: list[int] = []
+    i = 0
+    while i < len(cells):
+        c = cells[i]
+        i += 1
+        if c & (c - 1):
+            frags = [f for x in classes if (f := c & x)]
+            if len(frags) > 1:
+                # no watched profile exceeds k's, so this split keeps them
+                watch = _split_cell(cells, i - 1, frags, splitters, k, watch)
+                i += len(frags) - 1
+    return _refine(masks, cells, splitters, k, watch)
 
 
 def root_partition(masks: Sequence[int]) -> list[int]:

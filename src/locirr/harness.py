@@ -229,12 +229,15 @@ def run_campaign(
                 except BudgetExhausted:
                     kind, k = "budget", 0
                 results.append((write_graph6(g), kind, k))
-        if any(kind == "budget" for _, kind, _ in results):
+        spent = [g6 for g6, kind, _ in results if kind == "budget"]
+        if spent:
             # drop the whole level: a partially counted level would be
             # double-counted on resume
+            message = f"campaign aborted at n={n}: node budget hit on {min(spent)}"
             if checkpoint:
                 _save_checkpoint(checkpoint, params, n - 1, report)
-            raise BudgetExhausted(f"campaign aborted at n={n}; checkpoint holds n<{n}")
+                message += f"; checkpoint holds n<{n}"
+            raise BudgetExhausted(message)
         for g6, kind, k in sorted(results):
             if kind == "skip":
                 report.non_decomposable[n] = report.non_decomposable.get(n, 0) + 1

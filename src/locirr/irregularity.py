@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, json_int
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class EdgeColoring:
     def from_json(text: str) -> "EdgeColoring":
         try:
             data = json.loads(text)
-            colors, k = tuple(int(c) for c in data["colors"]), int(data["k"])
+            colors, k = tuple(map(json_int, data["colors"])), json_int(data["k"])
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad coloring JSON: {exc}") from exc
         return EdgeColoring(colors, k)

@@ -1,16 +1,19 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code with the package beyond the Graph container; every
-check is a direct transcription of the relevant definition.  The one
-exception is the reference enumerator at the end, an earlier, slower form
-of package code: the earlier rejection order of the canonical construction
-path, run on the package's labeler and its bipartite test.  The reference
+check is a direct transcription of the relevant definition.  Two are
+earlier, slower forms of package code.  ``reference_refine`` is the
+earlier partition refinement, which splits every cell by every splitter and
+refines to the end.  The reference enumerator at the end is the earlier
+rejection order of the canonical construction path, run on the package's
+labeler and its bipartite test.  The reference
 closure search runs on ``reference_backtrack``, a recursive search of its
 own, so the package's engine is checked against independent code.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 
 import networkx as nx
@@ -146,6 +149,68 @@ def same_classes(graphs, reference) -> bool:
             return False
         cands.pop(hits[0])
     return not any(buckets.values())
+
+
+# -- partition refinement ------------------------------------------------------
+#
+# The package's earlier refinement, which splits every cell by global count
+# classes; ``graph._refine`` skips the cells a splitter cannot split.
+
+
+def _split(cells: list[int], classes: list[int], splitters: list[int]) -> None:
+    """Split every cell of ``cells`` in place by the disjoint vertex masks
+    ``classes``, which cover every vertex of a non-singleton cell; every
+    fragment but the first largest is appended to ``splitters``."""
+    i = 0
+    while i < len(cells):
+        c = cells[i]
+        i += 1
+        if not c & (c - 1):
+            continue
+        frags = [f for x in classes if (f := c & x)]
+        if len(frags) > 1:
+            cells[i - 1 : i] = frags
+            i += len(frags) - 1
+            sizes = [f.bit_count() for f in frags]
+            big = sizes.index(max(sizes))
+            splitters += frags[:big] + frags[big + 1 :]
+
+
+def _count_classes(masks, w: int) -> list[int]:
+    """The vertices with 0, 1, 2, ... neighbors in ``w``, as masks in
+    ascending count order, empty ones left out."""
+    by_count: dict[int, int] = {}
+    for v, mv in enumerate(masks):
+        c = (mv & w).bit_count()
+        by_count[c] = by_count.get(c, 0) | 1 << v
+    return [by_count[c] for c in sorted(by_count)]
+
+
+def reference_refine(masks, cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine ``cells`` in place by popping splitters until none is left or
+    every cell is a singleton; each splitter splits every cell."""
+    while splitters and len(cells) < len(masks):
+        _split(cells, _count_classes(masks, splitters.pop()), splitters)
+    return cells
+
+
+def reference_distance_split(masks, cells: list[int]) -> list[int]:
+    """Split the cells of ``cells`` by BFS distance profile (how many vertices
+    at distance 1, 2, ...), in ascending profile order, then refine."""
+    if len(cells) == len(masks):
+        return cells
+    h = nx.Graph()
+    h.add_nodes_from(range(len(masks)))
+    h.add_edges_from((u, v) for u, mu in enumerate(masks) for v in range(u) if mu >> v & 1)
+    by_profile: dict[tuple[int, ...], int] = {}
+    for v in range(len(masks)):
+        dist = nx.single_source_shortest_path_length(h, v)
+        at = Counter(dist.values())
+        p = tuple(at[d] for d in range(1, max(at) + 1))
+        by_profile[p] = by_profile.get(p, 0) | 1 << v
+    splitters: list[int] = []
+    _split(cells, [by_profile[p] for p in sorted(by_profile)], splitters)
+    return reference_refine(masks, cells, splitters)
 
 
 def parity_table_ok(g: Graph, colors, signature) -> bool:

@@ -109,6 +109,17 @@ class TestPipelines:
             ("verify", "C~", "notjson"),
             ("export-dot", "C~", "--decomposition", "<bad json>"),
             ("export-dot", "C~", "--decomposition", '{"elements": [{"edges": [0, 9]}]}'),
+            # only JSON integers, and a JSON boolean for multigraph, are
+            # read: int() and bool() would read 2.5 as 2 and "false" as true
+            ("chi-irr", '{"n": 2.5, "edges": []}'),
+            ("chi-irr", '{"n": true, "edges": []}'),
+            ("chi-irr", '{"n": 2, "edges": [[0, 1.9]]}'),
+            ("chi-irr", '{"n": 2, "edges": [[0, 1], [0, 1]], "multigraph": "false"}'),
+            ("verify", "C~", '{"k": 3, "colors": [1.5, 1, 1, 1, 1, 1]}'),
+            (
+                "export-dot", "C~", "--decomposition",
+                '{"elements": [{"edges": [0.9, 2]}, {"edges": [1, 3]}, {"edges": [4, 5]}]}',
+            ),
         ],
     )
     def test_malformed_json_is_input_error(self, capsys, argv):
@@ -203,6 +214,11 @@ class TestCampaignCli:
         assert code == 2
         assert json.loads(out)["exceeders"] == ["C~"]
 
+
+    def test_budget_without_checkpoint(self, capsys):
+        code, out, _ = self._campaign(capsys, "--budget", "0")
+        assert code == 4
+        assert out == "budget exhausted: campaign aborted at n=4: node budget hit on C~\n"
 
     def _campaign(self, capsys, *extra):
         return run(

@@ -26,6 +26,7 @@ from locirr.graph import (
     star_graph,
     write_graph6,
 )
+from locirr.graph import _refine, _vertices
 
 
 def _from_nx(h: nx.Graph) -> Graph:
@@ -266,6 +267,61 @@ class TestRootPartition:
         assert distance_split(masks, list(eq)) == root
         owner = [next(i for i, c in enumerate(eq) if c & r == r) for r in root]
         assert owner == sorted(owner)
+
+
+def _after(cells, k):
+    """The vertices in later cells than ``k``'s."""
+    at = next(i for i, c in enumerate(cells) if c >> k & 1)
+    return sum(cells[at + 1 :])
+
+
+# regular graphs: one degree cell, which distance profiles split
+REGULAR = [
+    _from_nx(nx.random_regular_graph(d, n, seed=seed))
+    for d in (3, 4)
+    for n in (8, 10, 12, 14)
+    for seed in range(3)
+]
+
+
+class TestRefine:
+    # the refinement skips the cells a splitter cannot touch and stops once
+    # a watched vertex falls after k; the reference splits every cell by
+    # global count classes and refines to the end
+
+    @given(graphs(n_max=14), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, g, data):
+        masks = g.adjacency_masks
+        full = (1 << g.n) - 1
+        eq = oracles.reference_refine(masks, [full], [full])
+        assert _refine(masks, [full], [full]) == eq
+        assert equitable_partition(masks) == eq
+        # individualizing a vertex of the equitable partition
+        tied = [t for t, c in enumerate(eq) if c & (c - 1)]
+        if tied:
+            t = data.draw(st.sampled_from(tied))
+            bit = 1 << data.draw(st.sampled_from(_vertices(eq[t])))
+            start = eq[:t] + [bit, eq[t] ^ bit] + eq[t + 1 :]
+            want = oracles.reference_refine(masks, list(start), [bit])
+            assert _refine(masks, list(start), [bit]) == want
+
+    @given(st.one_of(graphs(n_max=14), st.sampled_from(REGULAR)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_watch_decides_like_the_full_partition(self, g, data):
+        masks = g.adjacency_masks
+        full = (1 << g.n) - 1
+        k = data.draw(st.integers(0, g.n - 1))
+        watch = data.draw(st.integers(0, full)) & ~(1 << k)
+        if data.draw(st.booleans()):
+            # only vertices of k's degree, as enumeration's ties are
+            watch &= sum(1 << v for v in range(g.n) if masks[v].bit_count() == masks[k].bit_count())
+        eq = oracles.reference_refine(masks, [full], [full])
+        want = None if _after(eq, k) & watch else eq
+        assert equitable_partition(masks, k, watch) == want
+        root = oracles.reference_distance_split(masks, list(eq))
+        want = None if _after(root, k) & watch else root
+        assert distance_split(masks, list(eq), k, watch) == want
 
 
 # vertex-transitive graphs with large groups, plus disconnected and

@@ -99,6 +99,21 @@ class TestCampaign:
         fresh = run_campaign("all", 5, 3)
         assert resumed.to_json() == fresh.to_json()
 
+    def test_budget_names_first_graph_in_graph6_order(self):
+        # at n=4 the budget runs out on Cu, Cr, Cv and C~, in enumeration order
+        with pytest.raises(BudgetExhausted) as info:
+            run_campaign("all", 4, 3, node_budget=5)
+        assert str(info.value) == "campaign aborted at n=4: node budget hit on Cr"
+
+    def test_budget_message_names_checkpoint(self, tmp_path):
+        ckpt = str(tmp_path / "campaign.json")
+        with pytest.raises(BudgetExhausted) as info:
+            run_campaign("all", 4, 3, checkpoint=ckpt, node_budget=5)
+        assert str(info.value) == (
+            "campaign aborted at n=4: node budget hit on Cr; checkpoint holds n<4"
+        )
+        assert json.loads(open(ckpt).read())["done_n"] == 3
+
     def test_checkpoint_ignored_on_parameter_change(self, tmp_path):
         ckpt = str(tmp_path / "campaign.json")
         run_campaign("cubic", 6, 3, checkpoint=ckpt)
