@@ -492,6 +492,8 @@ class SubcubicStats:
     free_color: int = 0
     direct: int = 0
     recolor: int = 0
+    # no rule counts these two any more; they stay, always 0, because the
+    # benchmark reports one constructive.rule.<field> metric per field
     swaps: int = 0
     pair_removal: int = 0
     endgame: int = 0
@@ -537,13 +539,12 @@ def color_subcubic_4(
     centered at a vertex of remaining degree 2, a proper coloring of the
     contracted base colors them all at once.  Reinstating then brings the
     peeled 2-paths back in reverse order, each by the first applicable rule:
-    a color free of its neighborhood, direct placement, recoloring an
-    incident element, an element-level color-pair swap, or pair removal,
-    which uncolors one incident 2-path and places the two jointly.  Every
-    rule checks local irregularity and the central pair rule only at the
-    vertices of the elements it changed.  Any failure goes to the exhaustive
-    element-uniform search, counted in ``stats``; it raises on a refutation,
-    which strong pertinence does not rule out (CLAW_TRAP in the tests).
+    a color free of its neighborhood, direct placement, or recoloring one
+    incident element.  Every rule checks local irregularity and the central
+    pair rule only at the vertices of the elements it changed.  Any failure
+    goes to the exhaustive element-uniform search, counted in ``stats``; it
+    raises on a refutation, which strong pertinence does not rule out
+    (CLAW_TRAP in the tests).
     """
     if max(g.degrees, default=0) > 3:
         raise GraphError("color_subcubic_4 requires maximum degree at most 3")
@@ -696,18 +697,6 @@ def color_subcubic_4(
         paint(p, 0)
         return False
 
-    def chain(seed, a, b):
-        """Elements reachable from ``seed`` through incident elements colored
-        a or b."""
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            for j in near[stack.pop()]:
-                if j not in comp and color[j] in (a, b):
-                    comp.add(j)
-                    stack.append(j)
-        return comp
-
     def reinstate(p) -> bool:
         if place(p):
             return True
@@ -722,43 +711,6 @@ def color_subcubic_4(
                         log(f"recolor element {j} -> {c}")
                         return True
             paint(j, old)
-        seen = set()
-        for j in colored:
-            a = color[j]
-            for b in range(1, 5):
-                if b == a:
-                    continue
-                comp = chain(j, a, b)
-                sig = (frozenset((a, b)), frozenset(comp))
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                for i in comp:
-                    paint(i, a + b - color[i])
-                if fits(comp) and place(p):
-                    stats.swaps += 1
-                    log(f"swap{{{a},{b}}} seeded at element {j}")
-                    return True
-                for i in comp:
-                    paint(i, a + b - color[i])
-
-        def rank(i):  # the peel key as it stood when p was peeled
-            nconf = sum(1 for x in near[i] if color[x] or x == p)
-            return (nconf, els[i].central_vertices[0], els[i].edges)
-
-        partners = [j for j in colored if els[j].kind == TWO_PATH]
-        for r in sorted(partners, key=rank)[:2]:
-            old = color[r]
-            for cp in range(1, 5):
-                for cr in range(1, 5):
-                    paint(p, cp)
-                    paint(r, cr)
-                    if fits([p, r]):
-                        stats.pair_removal += 1
-                        log(f"pair-removal of elements {p} and {r}")
-                        return True
-            paint(p, 0)
-            paint(r, old)
         return False
 
     done = done and all(map(reinstate, reversed(peeled)))

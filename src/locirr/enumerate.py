@@ -45,11 +45,12 @@ class GraphClassFilter:
     max_degree: int | None = None
     min_degree: int | None = None
     regular: int | None = None
-    connected: bool = True
-    bipartite: bool | None = None
-    edge_parity: str | None = None  # "even" | "odd"
+    connected: bool = True  # only connected graphs are enumerated
+    bipartite: bool = False  # True keeps the bipartite graphs only
 
     def __post_init__(self):
+        if not self.connected:
+            raise GraphError("only connected graphs are enumerated")
         for name in ("max_degree", "min_degree", "regular"):
             bound = getattr(self, name)
             if bound is not None and bound < 0:
@@ -64,8 +65,6 @@ class GraphClassFilter:
             for bound, cmp in ((self.max_degree, -1), (self.min_degree, 1)):
                 if bound is not None and (bound - self.regular) * cmp > 0:
                     raise GraphError("regular degree conflicts with degree bounds")
-        if self.edge_parity not in (None, "even", "odd"):
-            raise GraphError(f"bad edge_parity {self.edge_parity!r}")
 
     @property
     def effective_max(self) -> int | None:
@@ -78,9 +77,9 @@ class GraphClassFilter:
         return self.min_degree or 0
 
 
-CUBIC = GraphClassFilter(regular=3, connected=True)
-SUBCUBIC_MIN2 = GraphClassFilter(max_degree=3, min_degree=2, connected=True)
-SUBCUBIC = GraphClassFilter(max_degree=3, connected=True)
+CUBIC = GraphClassFilter(regular=3)
+SUBCUBIC_MIN2 = GraphClassFilter(max_degree=3, min_degree=2)
+SUBCUBIC = GraphClassFilter(max_degree=3)
 
 
 def _is_bipartite_masks(masks) -> bool:
@@ -392,16 +391,13 @@ def _passes_final(g: Graph, flt: GraphClassFilter) -> bool:
         return False
     if flt.max_degree is not None and any(d > flt.max_degree for d in degs):
         return False
-    if flt.bipartite is not None and (g.bipartition() is not None) != flt.bipartite:
-        return False
-    if flt.edge_parity is not None and g.m % 2 != (0 if flt.edge_parity == "even" else 1):
-        return False
     return True
 
 
 def enumerate_graphs(n: int, flt: GraphClassFilter) -> Iterator[Graph]:
-    """One representative per isomorphism class matching the filter,
-    deterministic order across runs.  Infeasible filters yield nothing."""
+    """One representative per isomorphism class of the connected n-vertex
+    graphs matching the filter, deterministic order across runs.
+    Infeasible filters yield nothing."""
     if n < 0:
         raise GraphError("n must be nonnegative")
     if n == 0:
@@ -412,52 +408,10 @@ def enumerate_graphs(n: int, flt: GraphClassFilter) -> Iterator[Graph]:
     if hi is None:
         hi = n - 1
     lo = flt.effective_min
-    if flt.connected and n >= 2:
+    if n >= 2:
         lo = max(lo, 1)
-    if flt.connected:
-        for masks in _connected_masks(
-            n, lo, hi, flt.regular is not None, flt.bipartite is True
-        ):
-            g = _masks_to_graph(masks)
-            if _passes_final(g, flt):
-                yield g
-    else:
-        yield from _enumerate_disconnected(n, flt, hi)
-
-
-def _enumerate_disconnected(n: int, flt: GraphClassFilter, hi: int) -> Iterator[Graph]:
-    """Compose multisets of connected pieces (small n only)."""
-    pieces: dict[int, list[Graph]] = {}
-    sub = GraphClassFilter(
-        max_degree=flt.effective_max,
-        min_degree=flt.min_degree,
-        regular=flt.regular,
-        connected=True,
-        bipartite=flt.bipartite,
-    )
-    for s in range(1, n + 1):
-        pieces[s] = list(enumerate_graphs(s, sub))
-
-    def rec(remaining: int, max_size: int, max_idx: int, acc: list[Graph]):
-        if remaining == 0:
-            yield list(acc)
-            return
-        for s in range(min(remaining, max_size), 0, -1):
-            start = max_idx if s == max_size else 0
-            for i in range(start, len(pieces[s])):
-                acc.append(pieces[s][i])
-                yield from rec(remaining - s, s, i, acc)
-                acc.pop()
-
-    for combo in rec(n, n, 0, []):
-        if len(combo) == 1 and flt.connected:
-            continue
-        offset = 0
-        edges = []
-        for piece in combo:
-            edges.extend((u + offset, v + offset) for u, v in piece.edges)
-            offset += piece.n
-        g = Graph(n, tuple(sorted(edges)))
+    for masks in _connected_masks(n, lo, hi, flt.regular is not None, flt.bipartite):
+        g = _masks_to_graph(masks)
         if _passes_final(g, flt):
             yield g
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GraphError(ValueError):
@@ -138,17 +138,6 @@ class Graph:
             and all(d == 2 for d in self.degrees)
             and self.is_connected()
         )
-
-    def subgraph(self, edge_ids: Iterable[int], drop_isolated: bool = True) -> "Graph":
-        """Subgraph on the given edges; vertices relabeled densely (sorted order)."""
-        eids = sorted(edge_ids)
-        if drop_isolated:
-            verts = sorted({x for e in eids for x in self.edges[e]})
-        else:
-            verts = list(range(self.n))
-        relabel = {v: i for i, v in enumerate(verts)}
-        edges = tuple((relabel[self.edges[e][0]], relabel[self.edges[e][1]]) for e in eids)
-        return Graph(len(verts), edges, multigraph=self.multigraph)
 
     # -- serialization -----------------------------------------------------
 
@@ -646,20 +635,3 @@ def canon_adjacency(
     for i, v in enumerate(best[1]):
         least.setdefault(find(v), i)
     return best[0], tuple(least[find(v)] for v in range(n)), tuple(map(tuple, autos))
-
-
-def canonical_form(g: Graph) -> bytes:
-    """Canonical label: equal byte strings iff the simple graphs are isomorphic."""
-    if g.multigraph and len(set(g.edges)) != g.m:
-        raise GraphError("canonical_form requires a simple graph")
-    if g.n > 255:
-        raise GraphError("canonical_form supports n <= 255")
-    canon, _, _ = canon_adjacency(g.adjacency_masks)
-    out = bytearray([g.n])
-    for v in range(g.n):
-        mv = canon[v]
-        for u in range(v + 1, g.n):
-            if mv >> u & 1:
-                out.append(v)
-                out.append(u)
-    return bytes(out)

@@ -16,7 +16,7 @@ from .decompose import (
 )
 from .enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, GraphClassFilter
 from .enumerate import enumerate_graphs, enumerate_trees
-from .graph import Graph, GraphError, cube_graph, write_graph6
+from .graph import Graph, GraphError, cube_graph, json_int, write_graph6
 from .irregularity import EdgeColoring
 from .solver import (
     COLORED,
@@ -84,7 +84,7 @@ FAMILIES = {
     "cubic": CUBIC,
     "subcubic": SUBCUBIC,
     "subcubic-min2": SUBCUBIC_MIN2,
-    "all": GraphClassFilter(connected=True),
+    "all": GraphClassFilter(),
 }
 
 
@@ -124,17 +124,42 @@ def _worker(args):
     return (g6, kind, k)
 
 
-def _load_checkpoint(path: str, params: dict):
+def _count_table(value) -> dict[int, int]:
+    """A checkpoint's ``{"n": count}`` object, read like the JSON readers do:
+    keys that parse as integers, JSON integer values."""
+    if not isinstance(value, dict):
+        raise GraphError(f"expected an object, got {value!r}")
+    return {int(k): json_int(v) for k, v in value.items()}
+
+
+def _load_checkpoint(path: str, params: dict, report: CampaignReport) -> int:
+    """Fill ``report`` from the checkpoint at ``path`` and return the last n
+    it holds: 0, with ``report`` untouched, when there is no checkpoint for
+    these parameters.  A malformed body raises GraphError."""
     if not os.path.exists(path):
-        return None
+        return 0
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise GraphError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
-        return None
-    return data if data.get("params") == params else None
+        return 0
+    if data.get("params") != params:
+        return 0
+    try:
+        done_n = json_int(data["done_n"])
+        if not 0 <= done_n <= params["n_max"]:
+            raise GraphError(f"done_n {done_n} outside 0..{params['n_max']}")
+        tables = [_count_table(data[k]) for k in ("per_n", "non_decomposable", "histogram")]
+        exceeders = data["exceeders"]
+        if not isinstance(exceeders, list) or not all(isinstance(x, str) for x in exceeders):
+            raise GraphError(f"exceeders must be a list of graph6 strings, got {exceeders!r}")
+    except (KeyError, ValueError) as exc:
+        raise GraphError(f"bad checkpoint {path!r}: {exc}") from exc
+    report.per_n, report.non_decomposable, report.histogram = tables
+    report.exceeders = list(exceeders)
+    return done_n
 
 
 def _save_checkpoint(path: str, params: dict, done_n: int, report: CampaignReport):
@@ -202,18 +227,9 @@ def run_campaign(
     }
     report = CampaignReport(name, n_max, bound, method)
     start_n = 1
-    state = None
     if checkpoint:
         check_output_dir(checkpoint, "checkpoint")
-        state = _load_checkpoint(checkpoint, params)
-    if state is not None:
-        report.per_n = {int(k): v for k, v in state["per_n"].items()}
-        report.non_decomposable = {
-            int(k): v for k, v in state["non_decomposable"].items()
-        }
-        report.histogram = {int(k): v for k, v in state["histogram"].items()}
-        report.exceeders = list(state["exceeders"])
-        start_n = state["done_n"] + 1
+        start_n = _load_checkpoint(checkpoint, params, report) + 1
     t0 = time.perf_counter()
     for n in range(start_n, n_max + 1):
         graphs = list(enumerate_graphs(n, flt))

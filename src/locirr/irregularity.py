@@ -80,12 +80,6 @@ def verify_coloring(g: Graph, c: EdgeColoring) -> VerificationReport:
     return VerificationReport(not violations, violations)
 
 
-def color_class(g: Graph, c: EdgeColoring, color: int) -> Graph:
-    """Subgraph induced by the edges of one color, isolated vertices dropped."""
-    eids = [e for e in range(g.m) if c.colors[e] == color]
-    return g.subgraph(eids)
-
-
 def kempe_component(g: Graph, c: EdgeColoring, a: int, b: int, v: int) -> ColorPairComponent:
     """Connected component of the {a,b}-colored subgraph containing v."""
     if a == b:

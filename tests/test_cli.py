@@ -249,6 +249,28 @@ class TestCampaignCli:
         code, _, err = self._campaign(capsys, "--checkpoint", str(ckpt))
         assert code == 3 and str(ckpt) in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: body.update(done_n="3"),
+            lambda body: body.pop("per_n"),
+            lambda body: body.update(per_n={"x": 1}),
+            lambda body: body.update(done_n=5),  # past --max-n 4
+            lambda body: body.update(exceeders=[1]),
+        ],
+        ids=["done_n-string", "per_n-missing", "per_n-bad-key", "done_n-past-max-n",
+             "exceeders-not-strings"],
+    )
+    def test_checkpoint_malformed_body(self, capsys, tmp_path, edit):
+        # version and params match, so the body is read, and rejected
+        ckpt = tmp_path / "ckpt.json"
+        assert self._campaign(capsys, "--checkpoint", str(ckpt))[0] == 0
+        body = json.loads(ckpt.read_text())
+        edit(body)
+        ckpt.write_text(json.dumps(body))
+        code, out, err = self._campaign(capsys, "--checkpoint", str(ckpt))
+        assert code == 3 and str(ckpt) in err and out == ""
+
     def test_checkpoint_is_directory(self, capsys, tmp_path):
         code, _, err = self._campaign(capsys, "--checkpoint", str(tmp_path))
         assert code == 3 and str(tmp_path) in err

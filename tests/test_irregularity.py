@@ -6,7 +6,6 @@ import oracles
 from locirr.graph import Graph, GraphError, cycle_graph, path_graph, star_graph
 from locirr.irregularity import (
     EdgeColoring,
-    color_class,
     is_locally_irregular,
     kempe_component,
     swap,
@@ -62,23 +61,14 @@ class TestVerify:
         k = data.draw(st.integers(1, 3))
         colors = tuple(data.draw(st.integers(1, k)) for _ in range(g.m))
         col = EdgeColoring(colors, k)
-        expected = all(
-            is_locally_irregular(color_class(g, col, c)) for c in range(1, k + 1)
-        )
+        h = oracles.to_nx(g)
+        classes = [
+            h.edge_subgraph(e for e, ce in zip(g.edges, colors) if ce == c)
+            for c in range(1, k + 1)
+        ]
+        expected = all(is_locally_irregular(Graph(g.n, tuple(s.edges()))) for s in classes)
         assert verify_coloring(g, col).valid == expected
         assert verify_coloring(g, col).valid == oracles.naive_valid(g, colors)
-
-
-class TestColorClass:
-    def test_c4_class_one(self):
-        assert oracles.isomorphic(color_class(C4, C4_1122, 1), path_graph(2))
-
-    def test_unused_color_empty(self):
-        assert color_class(C4, C4_1122, 3).m == 0
-
-    def test_whole_star(self):
-        col = EdgeColoring((1, 1, 1), 1)
-        assert oracles.isomorphic(color_class(star_graph(3), col, 1), star_graph(3))
 
 
 class TestKempe:
