@@ -25,6 +25,7 @@ from .solver import (
     _Budget,
     _assignment_to_coloring,
     backtrack,
+    _pair_rule,
     central_pair_ok,
     edge_order,
     element_uniform_search,
@@ -181,7 +182,8 @@ def color_balanced_forest_2(f: Graph, b: Bipartition) -> EdgeColoring:
         assignment, _ = search_groups(f, bundles, k)
         if assignment is not None:
             col = _assignment_to_coloring(f, bundles, assignment, k)
-            assert verify_coloring(f, col).valid
+            if not verify_coloring(f, col).valid:
+                raise GraphError("balanced forest bundle coloring failed local irregularity (bug)")
             return col
     raise GraphError("balanced forest refused a 2-color bundle coloring (bug)")
 
@@ -334,7 +336,8 @@ def proper_edge_color(g: Graph) -> EdgeColoring:
     col = EdgeColoring(tuple(ecol), kk)
     for v in range(g.n):
         seen = [ecol[e] for e, _ in g.incidence[v]]
-        assert len(seen) == len(set(seen))
+        if len(seen) != len(set(seen)):
+            raise GraphError(f"fan rotation gave two edges at vertex {v} one color (bug)")
     return col
 
 
@@ -397,7 +400,8 @@ def color_fully_subdivided_2(g_base: Graph) -> EdgeColoring:
                 colors[h ^ 1] = 3 - c if split else c
     k = 2 if any(c == 2 for c in colors) else (1 if colors else 0)
     col = EdgeColoring(tuple(colors), k)
-    assert verify_coloring(fully_subdivide(g_base), col).valid
+    if not verify_coloring(fully_subdivide(g_base), col).valid:
+        raise GraphError("thread coloring failed local irregularity (bug)")
     return col
 
 
@@ -417,7 +421,8 @@ def _cycle_run_coloring(g: Graph) -> EdgeColoring:
         v = g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1]
         prev_e = e
     col = EdgeColoring(tuple(colors), 3)
-    assert verify_coloring(g, col).valid
+    if not verify_coloring(g, col).valid:
+        raise GraphError("cycle run pattern failed local irregularity (bug)")
     return col
 
 
@@ -501,25 +506,32 @@ class SubcubicStats:
     fallbacks: int = 0
 
 
+def _element_failures(els, table, colors) -> list[str]:
+    """The failures ``element_properties_ok`` reports, with the pair table
+    ``shared_vertices(els)`` given."""
+    failures = []
+    for el in els:
+        cs = {colors[e] for e in el.edges}
+        if len(cs) != 1:
+            failures.append(f"element {el.edges} is not monochromatic: colors {sorted(cs)}")
+    for (i, j), shared in table.items():
+        a, b = els[i], els[j]
+        if colors[a.edges[0]] == colors[b.edges[0]]:
+            for v in shared:
+                if v not in a.central_vertices and v not in b.central_vertices:
+                    failures.append(
+                        f"same-colored elements {a.edges} and {b.edges}"
+                        f" meet at non-central vertex {v}"
+                    )
+    return failures
+
+
 def element_properties_ok(
     g: Graph, d: Decomposition, col: EdgeColoring
 ) -> tuple[bool, tuple[str, ...]]:
     """Check element-uniformity and the central-incidence rule: two incident
     elements of the same color may only meet at vertices central for one."""
-    failures = []
-    els = d.elements
-    for el in els:
-        cs = {col.colors[e] for e in el.edges}
-        if len(cs) != 1:
-            failures.append(f"element {el.edges} is not monochromatic: colors {sorted(cs)}")
-    for (i, j), shared in shared_vertices(els):
-        if col.colors[els[i].edges[0]] == col.colors[els[j].edges[0]]:
-            for v in shared:
-                if v not in els[i].central_vertices and v not in els[j].central_vertices:
-                    failures.append(
-                        f"same-colored elements {els[i].edges} and {els[j].edges}"
-                        f" meet at non-central vertex {v}"
-                    )
+    failures = _element_failures(d.elements, shared_vertices(d.elements), col.colors)
     return (not failures, tuple(failures))
 
 
@@ -554,19 +566,26 @@ def color_subcubic_4(
     if stats is None:
         stats = SubcubicStats()
     els = d.elements
+    table = shared_vertices(els)  # the one pair table of this coloring
     near: list[list[int]] = [[] for _ in els]  # incident elements, ascending
     clash: list[list[int]] = [[] for _ in els]  # incident, may not share a color
-    for (i, j), ok in central_pair_ok(els).items():
+    for (i, j), ok in _pair_rule(els, table).items():
         near[i].append(j)
         near[j].append(i)
         if not ok:
             clash[i].append(j)
             clash[j].append(i)
+    # per-element arrays: vertices, edges, edge ends, 2-path flag, first center
     verts = [el.vertices for el in els]
+    edges = [el.edges for el in els]
+    ends = [[v for e in el.edges for v in g.edges[e]] for el in els]
+    is_path = [el.kind == TWO_PATH for el in els]
+    center = [el.central_vertices[0] for el in els]
     el_of = [0] * g.m
-    for i, el in enumerate(els):
-        for e in el.edges:
+    for i, el_edges in enumerate(edges):
+        for e in el_edges:
             el_of[e] = i
+    inc = g.incidence
     color = [0] * len(els)  # 0 while uncolored
     cnt = [[deg, 0, 0, 0, 0] for deg in g.degrees]  # cnt[v][c]: c-colored edges at v
 
@@ -577,21 +596,23 @@ def color_subcubic_4(
     def paint(i, c):
         old = color[i]
         color[i] = c
-        for e in els[i].edges:
-            for v in g.edges[e]:
-                cnt[v][old] -= 1
-                cnt[v][c] += 1
+        for v in ends[i]:
+            cv = cnt[v]
+            cv[old] -= 1
+            cv[c] += 1
 
     def fits(group) -> bool:
         """Whether the coloring, valid before the elements of ``group`` were
         repainted, is still valid: only the edges at their vertices and the
         pairs they belong to can have broken."""
         for i in group:
-            if any(color[j] == color[i] for j in clash[i]):
-                return False
+            ci = color[i]
+            for j in clash[i]:
+                if color[j] == ci:
+                    return False
             for v in verts[i]:
                 cv = cnt[v]
-                for e, w in g.incidence[v]:
+                for e, w in inc[v]:
                     c = color[el_of[e]]
                     if c and cv[c] == cnt[w][c]:
                         return False
@@ -602,18 +623,18 @@ def color_subcubic_4(
     conf = [len(nb) for nb in near]  # incident elements still active
     live = list(g.degrees)  # active edges at each vertex
     left_edges = g.m
-    left_paths = sum(el.kind == TWO_PATH for el in els)
-
-    def blocks(i) -> bool:
-        """Whether active element i keeps the endgame from applying."""
-        el = els[i]
-        return el.kind != TWO_PATH or live[el.central_vertices[0]] != 2
+    left_paths = sum(is_path)
+    # active elements that keep the endgame from applying: claws, and
+    # 2-paths whose center has another active edge
+    blocking = 0
+    for i in range(len(els)):
+        if not is_path[i] or live[center[i]] != 2:
+            blocking += 1
 
     def key(i):
-        return (conf[i], els[i].central_vertices[0], els[i].edges, i)
+        return (conf[i], center[i], edges[i], i)
 
-    blocking = sum(map(blocks, range(len(els))))
-    heap = [key(i) for i, el in enumerate(els) if el.kind == TWO_PATH]
+    heap = [key(i) for i in range(len(els)) if is_path[i]]
     heapq.heapify(heap)
 
     def base_case(rest) -> bool:
@@ -662,15 +683,19 @@ def color_subcubic_4(
             entry = heapq.heappop(heap)
         p = entry[-1]
         touched = [j for j in near[p] if active[j]]
-        blocking -= blocks(p) + sum(map(blocks, touched))
+        # live counts drop at p's vertices alone, so only p (leaving) and the
+        # active 2-paths incident to it can change their blocking status
+        for j in (p, *touched):
+            if is_path[j] and live[center[j]] != 2:
+                blocking -= 1
         active[p] = False
-        for e in els[p].edges:
-            for v in g.edges[e]:
-                live[v] -= 1
-        blocking += sum(map(blocks, touched))
+        for v in ends[p]:
+            live[v] -= 1
         for j in touched:
             conf[j] -= 1
-            if els[j].kind == TWO_PATH:
+            if is_path[j]:
+                if live[center[j]] != 2:
+                    blocking += 1
                 heapq.heappush(heap, key(j))
         left_edges -= 2
         left_paths -= 1
@@ -725,7 +750,9 @@ def color_subcubic_4(
                 "element-uniform 4-coloring refuted; decomposition is not colorable"
             )
         col = res.coloring
-    assert verify_coloring(g, col).valid
-    ok, fails = element_properties_ok(g, d, col)
-    assert ok, fails
+    if not verify_coloring(g, col).valid:
+        raise GraphError("subcubic coloring failed local irregularity (bug)")
+    failures = _element_failures(els, table, col.colors)
+    if failures:
+        raise GraphError(f"subcubic coloring broke an element property: {failures[0]} (bug)")
     return col

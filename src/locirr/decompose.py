@@ -38,40 +38,59 @@ class Element:
     @staticmethod
     def from_edges(g: Graph, edges) -> "Element":
         edges = tuple(sorted(edges))
-        if len(edges) == 2:
-            # a 2-path: two edges with exactly one common end
-            p, q = g.edges[edges[0]], g.edges[edges[1]]
-            ends = set(p + q)
-            if len(ends) == 3:
-                center = p[0] if p[0] in q else p[1]
-                ends.remove(center)
-                return Element(TWO_PATH, edges, (center,), tuple(sorted(ends)))
-        deg: dict[int, int] = {}
-        adj: dict[int, set[int]] = {}
-        for e in edges:
-            u, v = g.edges[e]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        degs = sorted(deg.values())
-        if len(edges) == 3 and degs == [1, 1, 1, 3] and len(deg) == 4:
-            center = next(v for v, d in deg.items() if d == 3)
-            pend = tuple(sorted(v for v in deg if v != center))
-            return Element(CLAW, edges, (center,), pend)
-        if len(edges) == 5 and degs == [1, 1, 1, 2, 2, 3] and len(deg) == 6:
-            center = next(v for v, d in deg.items() if d == 3)
-            mids = sorted(v for v, d in deg.items() if d == 2)
-            leaves = [v for v, d in deg.items() if d == 1]
-            if all(m in adj[center] for m in mids) and all(
-                len(adj[m] - {center}) == 1 for m in mids
-            ):
-                direct = [v for v in leaves if v in adj[center]]
-                if len(direct) == 1:
-                    return Element(
-                        SUBDIVIDED_CLAW, edges, tuple(sorted([center] + mids)), tuple(sorted(leaves))
-                    )
-        raise DecompositionError(f"edges {edges} do not form a 2-path, claw, or subdivided claw")
+        kind, central, pendant = _shape(g, edges)
+        return Element(kind, edges, central, pendant)
+
+
+def _not_an_element(edges) -> DecompositionError:
+    return DecompositionError(f"edges {edges} do not form a 2-path, claw, or subdivided claw")
+
+
+def _two_path_roles(g: Graph, edges: tuple[int, int], center: int):
+    """Central and pendant vertices of the 2-path ``edges`` at ``center``, an
+    end of both edges; DecompositionError when the other ends coincide."""
+    (a, b), (c, d) = g.edges[edges[0]], g.edges[edges[1]]
+    u = b if a == center else a
+    w = d if c == center else c
+    if u == w:
+        raise _not_an_element(edges)
+    return (center,), ((u, w) if u < w else (w, u))
+
+
+def _shape(g: Graph, edges: tuple[int, ...]):
+    """``(kind, central_vertices, pendant_vertices)`` of a sorted edge tuple
+    forming a 2-path, a claw or a subdivided claw; DecompositionError
+    otherwise."""
+    if len(edges) == 2:
+        # a 2-path: two edges with exactly one common end
+        p, q = g.edges[edges[0]], g.edges[edges[1]]
+        for center in p:
+            if center in q:
+                return (TWO_PATH, *_two_path_roles(g, edges, center))
+    deg: dict[int, int] = {}
+    adj: dict[int, set[int]] = {}
+    for e in edges:
+        u, v = g.edges[e]
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    degs = sorted(deg.values())
+    if len(edges) == 3 and degs == [1, 1, 1, 3] and len(deg) == 4:
+        center = next(v for v, d in deg.items() if d == 3)
+        pend = tuple(sorted(v for v in deg if v != center))
+        return CLAW, (center,), pend
+    if len(edges) == 5 and degs == [1, 1, 1, 2, 2, 3] and len(deg) == 6:
+        center = next(v for v, d in deg.items() if d == 3)
+        mids = sorted(v for v, d in deg.items() if d == 2)
+        leaves = [v for v, d in deg.items() if d == 1]
+        if all(m in adj[center] for m in mids) and all(
+            len(adj[m] - {center}) == 1 for m in mids
+        ):
+            direct = [v for v in leaves if v in adj[center]]
+            if len(direct) == 1:
+                return SUBDIVIDED_CLAW, tuple(sorted([center] + mids)), tuple(sorted(leaves))
+    raise _not_an_element(edges)
 
 
 @dataclass(frozen=True)
@@ -106,28 +125,28 @@ class ValidationReport:
 
 
 def _edge_components(g: Graph, eids) -> list[list[int]]:
-    """Connectivity classes of an edge set (edges sharing vertices transitively)."""
-    eids = sorted(eids)
-    inc: dict[int, list[int]] = {}
-    for e in eids:
-        for v in g.edges[e]:
-            inc.setdefault(v, []).append(e)
+    """Connectivity classes of an edge set (edges sharing vertices
+    transitively), each ascending, in order of their least edge: one vertex
+    walk over ``g.incidence`` restricted to the set."""
+    left = set(eids)
     seen: set[int] = set()
     comps = []
-    for start in eids:
-        if start in seen:
+    for start in sorted(left):
+        if start not in left:
             continue
-        stack, comp = [start], []
-        seen.add(start)
+        comp: list[int] = []
+        stack = [g.edges[start][0]]
+        seen.add(stack[0])
         while stack:
-            e = stack.pop()
-            comp.append(e)
-            for v in g.edges[e]:
-                for f in inc[v]:
-                    if f not in seen:
-                        seen.add(f)
-                        stack.append(f)
-        comps.append(sorted(comp))
+            for e, u in g.incidence[stack.pop()]:
+                if e in left:
+                    left.remove(e)
+                    comp.append(e)
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+        comp.sort()
+        comps.append(comp)
     return comps
 
 
@@ -141,44 +160,44 @@ def _incidence(g: Graph, comp: list[int]) -> dict[int, list[tuple[int, int]]]:
     return inc
 
 
-def _pair_component(g: Graph, comp: list[int]) -> list[tuple[int, int]]:
-    """Pair a connected even-size edge set, in ascending order, into 2-paths.
+def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
+    """Pair a connected even-size edge set, in ascending order, into 2-paths,
+    sorted by their edges.
 
     Rooted spanning tree, vertices processed in reverse BFS order; each vertex
     pairs its unused edges locally, in ascending order, and pushes an odd
-    leftover onto its parent tree edge.
+    leftover onto its parent tree edge.  Every pair meets at the vertex that
+    paired it, which is the 2-path's center.
     """
     assert len(comp) % 2 == 0
-    inc = _incidence(g, comp)
-    root = min(inc)
-    parent_edge: dict[int, int] = {}
+    inc = g.incidence  # each row ascending; ``left`` restricts it to comp
+    left = set(comp)  # edges not yet paired
+    root = min(g.edges[e][0] for e in comp)
+    parent_edge: dict[int, int | None] = {root: None}  # BFS tree, seen vertices
     order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for e, u in inc[v]:  # ascending, as ``comp`` is
-            if u not in seen:
-                seen.add(u)
+    for v in order:  # grows while it is walked
+        for e, u in inc[v]:
+            if u not in parent_edge and e in left:
                 parent_edge[u] = e
                 order.append(u)
-    used: set[int] = set()
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int, int]] = []  # (edge, edge, center)
     for v in reversed(order):
-        pe = parent_edge.get(v)
-        avail = [e for e, _ in inc[v] if e not in used and e != pe]
+        pe = parent_edge[v]
+        avail = [e for e, _ in inc[v] if e in left and e != pe]
         while len(avail) >= 2:
             a, b = avail.pop(0), avail.pop(0)
-            used.update((a, b))
-            pairs.append((a, b))
+            left.remove(a)
+            left.remove(b)
+            pairs.append((a, b, v))
         if avail:
-            assert pe is not None and pe not in used
+            assert pe is not None and pe in left
             a = avail.pop()
-            used.update((a, pe))
-            pairs.append(tuple(sorted((a, pe))))
-    assert used == set(comp)
-    return sorted(pairs)
+            left.remove(a)
+            left.remove(pe)
+            pairs.append((a, pe, v) if a < pe else (pe, a, v))
+    assert not left
+    pairs.sort()
+    return [Element(TWO_PATH, (a, b), *_two_path_roles(g, (a, b), v)) for a, b, v in pairs]
 
 
 def _decompose(g: Graph, build_odd) -> Decomposition:
@@ -186,10 +205,7 @@ def _decompose(g: Graph, build_odd) -> Decomposition:
     odd one to ``build_odd(g, comp)``, which returns its elements."""
     elements: list[Element] = []
     for comp in _edge_components(g, range(g.m)):
-        if len(comp) % 2:
-            elements.extend(build_odd(g, comp))
-        else:
-            elements.extend(Element.from_edges(g, pair) for pair in _pair_component(g, comp))
+        elements.extend(build_odd(g, comp) if len(comp) % 2 else _pair_component(g, comp))
     return Decomposition(tuple(sorted(elements, key=lambda el: el.edges)), g)
 
 
@@ -304,7 +320,7 @@ def _claw_candidates(g: Graph, comp: list[int], placements):
         if any(len(c) % 2 for c in sub):
             continue
         yield [Element.from_edges(g, placement)] + [
-            Element.from_edges(g, pair) for c in sub for pair in _pair_component(g, c)
+            el for c in sub for el in _pair_component(g, c)
         ]
 
 
@@ -357,15 +373,11 @@ def validate_decomposition(g: Graph, d: Decomposition, mode: str = "any") -> Val
     for el in d.elements:
         covered.extend(el.edges)
         try:
-            ref = Element.from_edges(g, el.edges)
+            shape = _shape(g, tuple(sorted(el.edges)))
         except DecompositionError as exc:
             failures.append(str(exc))
             continue
-        if (ref.kind, ref.central_vertices, ref.pendant_vertices) != (
-            el.kind,
-            el.central_vertices,
-            el.pendant_vertices,
-        ):
+        if shape != (el.kind, el.central_vertices, el.pendant_vertices):
             failures.append(f"element {el.edges} mislabeled (kind/roles)")
     if sorted(covered) != list(range(g.m)):
         failures.append("elements do not partition the edge set")

@@ -57,26 +57,23 @@ def is_locally_irregular(g: Graph) -> bool:
     return all(deg[u] != deg[v] for u, v in g.edges)
 
 
-def _color_degrees(g: Graph, c: EdgeColoring) -> list[dict[int, int]]:
-    per = [dict() for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        col = c.colors[e]
-        per[u][col] = per[u].get(col, 0) + 1
-        per[v][col] = per[v].get(col, 0) + 1
-    return per
-
-
 def verify_coloring(g: Graph, c: EdgeColoring) -> VerificationReport:
     """Check that every color class induces a locally irregular graph."""
     if len(c.colors) != g.m:
         raise GraphError(f"coloring has {len(c.colors)} entries for {g.m} edges")
-    per = _color_degrees(g, c)
-    bad = set()
-    for e, (u, v) in enumerate(g.edges):
-        col = c.colors[e]
-        if per[u][col] == per[v][col]:
-            bad.add((col, u, v))
-    violations = tuple(sorted(bad))
+    # per vertex, its count of edges of each color.  EdgeColoring keeps every
+    # color in 1..k; the lists stop at the largest color used, since a given
+    # k may be far larger
+    top = max(c.colors, default=0)
+    per = [[0] * (top + 1) for _ in range(g.n)]
+    for (u, v), col in zip(g.edges, c.colors):
+        per[u][col] += 1
+        per[v][col] += 1
+    violations = tuple(
+        sorted(
+            {(col, u, v) for (u, v), col in zip(g.edges, c.colors) if per[u][col] == per[v][col]}
+        )
+    )
     return VerificationReport(not violations, violations)
 
 

@@ -215,23 +215,32 @@ def in_edge_order(g: Graph, elements) -> list:
     return sorted(elements, key=lambda el: min(rank[e] for e in el.edges))
 
 
-def shared_vertices(elements):
-    """Yield ``((i, j), shared)`` for each pair i < j of elements (indexed in
-    list order) that share a vertex, pairs ascending, ``shared`` the
-    ascending list of their shared vertices.  One vertex-to-elements index
-    serves all pairs."""
-    at: dict[int, list[int]] = {}
-    for i, el in enumerate(elements):
-        for v in el.vertices:
-            at.setdefault(v, []).append(i)
-    for i, el in enumerate(elements):
-        later: dict[int, list[int]] = {}  # j > i -> shared vertices
-        for v in el.vertices:
+def shared_vertices(elements) -> dict[tuple[int, int], list[int]]:
+    """The pair table of decomposition elements, indexed in list order:
+    ``(i, j) -> shared`` for each pair i < j that shares a vertex, pairs
+    ascending, ``shared`` the ascending list of their shared vertices.  One
+    vertex-to-elements index gives each element its later partners."""
+    verts = [el.vertices for el in elements]
+    at: dict[int, list[int]] = {}  # vertex -> its elements, ascending
+    for i, vs in enumerate(verts):
+        for v in vs:
+            if v in at:
+                at[v].append(i)
+            else:
+                at[v] = [i]
+    table: dict[tuple[int, int], list[int]] = {}
+    for i, vs in enumerate(verts):
+        later: dict[int, list[int]] = {}  # j > i -> shared vertices, ascending
+        for v in vs:
             for j in at[v]:
                 if j > i:
-                    later.setdefault(j, []).append(v)
+                    if j in later:
+                        later[j].append(v)
+                    else:
+                        later[j] = [v]
         for j in sorted(later):
-            yield (i, j), later[j]
+            table[(i, j)] = later[j]
+    return table
 
 
 def central_pair_ok(elements) -> dict[tuple[int, int], bool]:
@@ -239,13 +248,21 @@ def central_pair_ok(elements) -> dict[tuple[int, int], bool]:
     decomposition elements, indexed in list order, keys ascending: two
     incident elements may share a color only if every vertex they share is
     central for one of them."""
-    return {
-        (i, j): all(
-            v in elements[i].central_vertices or v in elements[j].central_vertices
-            for v in vs
-        )
-        for (i, j), vs in shared_vertices(elements)
-    }
+    return _pair_rule(elements, shared_vertices(elements))
+
+
+def _pair_rule(elements, table) -> dict[tuple[int, int], bool]:
+    """``central_pair_ok`` read off the pair table ``shared_vertices(elements)``."""
+    out = {}
+    for pair, vs in table.items():
+        ci, cj = elements[pair[0]].central_vertices, elements[pair[1]].central_vertices
+        ok = True
+        for v in vs:
+            if v not in ci and v not in cj:
+                ok = False
+                break
+        out[pair] = ok
+    return out
 
 
 def _assignment_to_coloring(g: Graph, groups, assignment, k) -> EdgeColoring:
@@ -274,7 +291,8 @@ def _search_levels(
         spent += nodes
         if assignment is not None:
             col = _assignment_to_coloring(g, groups, assignment, k)
-            assert verify_coloring(g, col).valid
+            if not verify_coloring(g, col).valid:
+                raise GraphError("exact search returned an invalid coloring (bug)")
             return SolveResult(COLORED, k, col, spent, time.perf_counter() - start)
     return SolveResult(exhausted, None, None, spent, time.perf_counter() - start)
 

@@ -224,6 +224,18 @@ def parity_table_ok(g: Graph, colors, signature) -> bool:
     return True
 
 
+def shared_vertices_all_pairs(elements) -> dict[tuple[int, int], list[int]]:
+    """Every pair i < j of decomposition elements, in lexicographic order,
+    with the sorted list of the vertices both have; pairs sharing none are
+    left out."""
+    out = {}
+    for i, j in combinations(range(len(elements)), 2):
+        shared = sorted(set(elements[i].vertices) & set(elements[j].vertices))
+        if shared:
+            out[(i, j)] = shared
+    return out
+
+
 def central_pair_ok_all_pairs(elements) -> dict[tuple[int, int], bool]:
     """The central-vertex pair rule over every pair i < j of decomposition
     elements, in lexicographic order: an entry for each pair sharing a

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from locirr import constructive, solver
 from locirr.constructive import (
     Bipartition,
     ParityPair,
@@ -21,6 +22,8 @@ from locirr.constructive import (
     vertex_parity_color,
 )
 from locirr.decompose import (
+    CLAW,
+    TWO_PATH,
     Decomposition,
     Element,
     enumerate_two_path_decompositions,
@@ -37,7 +40,7 @@ from locirr.graph import (
     path_graph,
     star_graph,
 )
-from locirr.irregularity import EdgeColoring, verify_coloring
+from locirr.irregularity import EdgeColoring, VerificationReport, verify_coloring
 from locirr.solver import COLORED, chi_irr
 
 PETERSEN = Graph(
@@ -425,6 +428,21 @@ class TestSubcubic4:
         h = nx.random_regular_graph(3, 1000, seed=0)
         self.run(Graph(1000, tuple(tuple(sorted(e)) for e in h.edges())))
 
+    @pytest.mark.parametrize("n", [6668, 6666])
+    def test_random_cubic_at_ten_thousand_edges(self, n):
+        # decompose + color + verify at m = 10,002 and m = 9,999 under the
+        # default recursion limit; the odd size takes the claw path and the
+        # decomposer's colorability check
+        assert sys.getrecursionlimit() <= 1000
+        h = nx.random_regular_graph(3, n, seed=0)
+        g = Graph(n, tuple(h.edges()))
+        assert g.m == 3 * n // 2 and g.is_connected()
+        d = strongly_pertinent_decomposition(g)
+        assert {el.kind for el in d.elements} == ({TWO_PATH, CLAW} if g.m % 2 else {TWO_PATH})
+        col = color_subcubic_4(g, d)
+        assert col.k <= 4 and verify_coloring(g, col).valid
+        assert element_properties_ok(g, d, col)[0]
+
     def test_recolor_rule(self):
         # the one instance found where recoloring an incident element fires,
         # over all decomposable subcubic graphs with n <= 11 and random cubic
@@ -466,3 +484,45 @@ class TestSubcubic4:
             "free-color 4 for element 7",
             "direct 1 for element 3",
         ]
+
+
+class TestReverification:
+    """Every colorer re-verifies its coloring with an explicit check, which
+    ``python -O`` keeps: a verifier that reports a violation must make each
+    one raise, not return the coloring."""
+
+    @pytest.fixture
+    def broken_verifier(self, monkeypatch):
+        broken = VerificationReport(False, ((1, 0, 1),))
+        monkeypatch.setattr(constructive, "verify_coloring", lambda g, c: broken)
+        monkeypatch.setattr(solver, "verify_coloring", lambda g, c: broken)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: color_subcubic_4(cube_graph(), strongly_pertinent_decomposition(cube_graph())),
+            lambda: color_balanced_forest_2(
+                path_graph(4), Bipartition(frozenset({1, 3}), frozenset({0, 2, 4}))
+            ),
+            lambda: color_fully_subdivided_2(cycle_graph(4)),
+            lambda: color_balanced_4(
+                cycle_graph(6), Bipartition(frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+            ),
+            lambda: color_balanced_4(
+                cycle_graph(4), Bipartition(frozenset({0, 2}), frozenset({1, 3}))
+            ),
+            lambda: chi_irr(cycle_graph(4), 2),
+        ],
+        ids=["subcubic", "forest", "subdivided", "cycle-runs", "parity", "exact"],
+    )
+    def test_reported_violation_raises(self, broken_verifier, call):
+        with pytest.raises(GraphError, match=r"\(bug\)"):
+            call()
+
+    def test_broken_element_property_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            constructive, "_element_failures", lambda els, table, colors: ["a failure"]
+        )
+        g = cube_graph()
+        with pytest.raises(GraphError, match=r"a failure \(bug\)"):
+            color_subcubic_4(g, strongly_pertinent_decomposition(g))

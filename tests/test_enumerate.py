@@ -15,6 +15,7 @@ from locirr.enumerate import (
     enumerate_trees,
 )
 from locirr.graph import Graph, GraphError, canon_adjacency
+from locirr.harness import FAMILIES
 
 CONNECTED = GraphClassFilter()
 
@@ -142,6 +143,23 @@ class TestStreamLaws:
                 got = {label(g) for g in enumerate_graphs(n, flt)}
                 want = {label(g) for g in base if pred(g)}
                 assert got == want, f"n={n} filter {flt}"
+
+    @pytest.mark.parametrize("name", [*FAMILIES, "bipartite-subcubic"])
+    def test_degree_bounds_hold(self, name):
+        # the level pruning alone keeps every yielded graph within its
+        # filter's degree bounds; no final re-check backs it up
+        flt = FAMILIES.get(name, GraphClassFilter(max_degree=3, bipartite=True))
+        for n in range(1, 11 if name in ("cubic", "subcubic-min2") else 8):
+            for g in enumerate_graphs(n, flt):
+                degs = g.degrees
+                if flt.regular is not None:
+                    assert set(degs) == {flt.regular}
+                if flt.min_degree is not None:
+                    assert min(degs) >= flt.min_degree
+                if flt.max_degree is not None:
+                    assert max(degs) <= flt.max_degree
+                if flt.bipartite:
+                    assert g.bipartition() is not None
 
     def test_trees_are_trees(self):
         for n in range(1, 9):

@@ -37,6 +37,7 @@ from locirr.solver import (
     element_uniform_search,
     is_decomposable,
     search_groups,
+    shared_vertices,
 )
 
 
@@ -354,20 +355,43 @@ class TestElementUniform:
             element_uniform_search(g, Decomposition((el,), g), 2)
 
 
+@pytest.fixture(scope="module")
+def small_decompositions(subcubic_small):
+    """Every decomposition of a connected subcubic graph with n <= 8: the
+    strongly pertinent one and every one into 2-paths."""
+    decompositions = []
+    for g in subcubic_small:
+        try:
+            decompositions.append(strongly_pertinent_decomposition(g))
+        except GraphError:
+            pass
+        if g.m % 2 == 0:
+            decompositions.extend(enumerate_two_path_decompositions(g))
+    assert len(decompositions) == 1206
+    return decompositions
+
+
 class TestCentralPairOk:
-    def test_matches_all_pairs_reference(self, subcubic_small):
-        # every decomposition of a connected subcubic graph with n <= 8: the
-        # strongly pertinent one and every one into 2-paths
-        decompositions = []
-        for g in subcubic_small:
-            try:
-                decompositions.append(strongly_pertinent_decomposition(g))
-            except GraphError:
-                pass
-            if g.m % 2 == 0:
-                decompositions.extend(enumerate_two_path_decompositions(g))
-        assert len(decompositions) == 1206
-        for d in decompositions:
+    def test_matches_all_pairs_reference(self, small_decompositions):
+        for d in small_decompositions:
             got = central_pair_ok(d.elements)
             want = oracles.central_pair_ok_all_pairs(d.elements)
             assert list(got.items()) == list(want.items())
+
+
+class TestSharedVertices:
+    def test_matches_all_pairs_reference(self, small_decompositions):
+        two_shared = 0
+        for d in small_decompositions:
+            got = shared_vertices(d.elements)
+            want = oracles.shared_vertices_all_pairs(d.elements)
+            assert list(got.items()) == list(want.items())
+            two_shared += sum(len(vs) == 2 for vs in got.values())
+        assert two_shared > 0  # 2-paths on a triangle or a C4 share two vertices
+
+    def test_two_paths_sharing_two_vertices(self):
+        # C4 as two 2-paths: both ends of each are the other's ends
+        g = cycle_graph(4)
+        els = [Element.from_edges(g, (0, 1)), Element.from_edges(g, (2, 3))]
+        assert shared_vertices(els) == {(0, 1): [0, 2]}
+        assert central_pair_ok(els) == {(0, 1): False}
