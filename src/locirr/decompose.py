@@ -319,9 +319,7 @@ def _claw_candidates(g: Graph, comp: list[int], placements):
         sub = _edge_components(g, [e for e in comp if e not in placed])
         if any(len(c) % 2 for c in sub):
             continue
-        yield [Element.from_edges(g, placement)] + [
-            el for c in sub for el in _pair_component(g, c)
-        ]
+        yield [Element.from_edges(g, placement)] + [el for c in sub for el in _pair_component(g, c)]
 
 
 def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
