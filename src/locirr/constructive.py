@@ -589,9 +589,10 @@ def color_subcubic_4(
     color = [0] * len(els)  # 0 while uncolored
     cnt = [[deg, 0, 0, 0, 0] for deg in g.degrees]  # cnt[v][c]: c-colored edges at v
 
-    def log(msg):
+    def log(msg, *args):
+        # formats only when traced: the free-color line is logged per element
         if trace is not None:
-            trace.append(msg)
+            trace.append(msg % args)
 
     def paint(i, c):
         old = color[i]
@@ -631,10 +632,18 @@ def color_subcubic_4(
         if not is_path[i] or live[center[i]] != 2:
             blocking += 1
 
-    def key(i):
-        return (conf[i], center[i], edges[i], i)
-
-    heap = [key(i) for i in range(len(els)) if is_path[i]]
+    # the heap pops the 2-path of fewest conflicts, ties by (center, edges,
+    # index).  ``rank`` is each 2-path's place in that tie order, so the pair
+    # (conflicts, rank) orders the heap; an entry packs it into the one int
+    # conflicts * paths + rank, and is stale once the conflicts have moved
+    by_rank = sorted(
+        (i for i in range(len(els)) if is_path[i]), key=lambda i: (center[i], edges[i])
+    )
+    paths = len(by_rank)
+    rank = [0] * len(els)
+    for r, i in enumerate(by_rank):
+        rank[i] = r
+    heap = [conf[i] * paths + rank[i] for i in by_rank]
     heapq.heapify(heap)
 
     def base_case(rest) -> bool:
@@ -647,7 +656,7 @@ def color_subcubic_4(
         for i, c in zip(rest, assignment):
             paint(i, c)
         stats.base_cases += 1
-        log(f"base case on {len(rest)} elements")
+        log("base case on %d elements", len(rest))
         return True
 
     def endgame(rest) -> bool:
@@ -678,10 +687,11 @@ def color_subcubic_4(
             break
         if not blocking and endgame([i for i in range(len(els)) if active[i]]):
             break
-        entry = heapq.heappop(heap)
-        while not active[entry[-1]] or entry != key(entry[-1]):  # stale entry
-            entry = heapq.heappop(heap)
-        p = entry[-1]
+        while True:  # skip stale entries
+            c, r = divmod(heapq.heappop(heap), paths)
+            p = by_rank[r]
+            if active[p] and c == conf[p]:
+                break
         touched = [j for j in near[p] if active[j]]
         # live counts drop at p's vertices alone, so only p (leaving) and the
         # active 2-paths incident to it can change their blocking status
@@ -696,28 +706,30 @@ def color_subcubic_4(
             if is_path[j]:
                 if live[center[j]] != 2:
                     blocking += 1
-                heapq.heappush(heap, key(j))
+                heapq.heappush(heap, conf[j] * paths + rank[j])
         left_edges -= 2
         left_paths -= 1
         peeled.append(p)
 
     # -- reinstate -----------------------------------------------------------
     def place(p) -> bool:
-        near_colors = {color[j] for j in near[p]}
+        taken = [False] * 5  # taken[c]: an incident element has color c
+        for j in near[p]:
+            taken[color[j]] = True
         for c in range(1, 5):
-            if c not in near_colors:
+            if not taken[c]:
                 paint(p, c)
                 # an element with no same-colored incident element is alone
                 # in its class around its own vertices, hence safe
                 assert fits([p])
                 stats.free_color += 1
-                log(f"free-color {c} for element {p}")
+                log("free-color %d for element %d", c, p)
                 return True
         for c in range(1, 5):
             paint(p, c)
             if fits([p]):
                 stats.direct += 1
-                log(f"direct {c} for element {p}")
+                log("direct %d for element %d", c, p)
                 return True
         paint(p, 0)
         return False
@@ -733,7 +745,7 @@ def color_subcubic_4(
                     paint(j, c)
                     if fits([j]) and place(p):
                         stats.recolor += 1
-                        log(f"recolor element {j} -> {c}")
+                        log("recolor element %d -> %d", j, c)
                         return True
             paint(j, old)
         return False

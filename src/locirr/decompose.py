@@ -8,9 +8,9 @@ subdivided claw is used only where no plain-claw decomposition exists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 
 from .graph import Graph, GraphError, json_int
 
@@ -26,14 +26,23 @@ class DecompositionError(GraphError):
 
 @dataclass(frozen=True)
 class Element:
+    """One element of a decomposition: its kind, its edge ids and its
+    central and pendant vertices.
+
+    ``vertices``, every vertex of the element ascending, is derived from the
+    two vertex tuples once, when the element is built; it takes no part in
+    the constructor, equality, hash or repr."""
+
     kind: str
     edges: tuple[int, ...]
     central_vertices: tuple[int, ...]
     pendant_vertices: tuple[int, ...]
+    vertices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.central_vertices + self.pendant_vertices))
+    def __post_init__(self):
+        object.__setattr__(
+            self, "vertices", tuple(sorted(self.central_vertices + self.pendant_vertices))
+        )
 
     @staticmethod
     def from_edges(g: Graph, edges) -> "Element":
@@ -128,22 +137,27 @@ def _edge_components(g: Graph, eids) -> list[list[int]]:
     """Connectivity classes of an edge set (edges sharing vertices
     transitively), each ascending, in order of their least edge: one vertex
     walk over ``g.incidence`` restricted to the set."""
-    left = set(eids)
-    seen: set[int] = set()
+    eids = sorted(eids)
+    left = bytearray(g.m)  # 1 while an edge of the set is not yet reached
+    for e in eids:
+        left[e] = 1
+    seen = bytearray(g.n)
+    inc = g.incidence
     comps = []
-    for start in sorted(left):
-        if start not in left:
+    for start in eids:
+        if not left[start]:
             continue
         comp: list[int] = []
-        stack = [g.edges[start][0]]
-        seen.add(stack[0])
+        v = g.edges[start][0]
+        seen[v] = 1
+        stack = [v]
         while stack:
-            for e, u in g.incidence[stack.pop()]:
-                if e in left:
-                    left.remove(e)
+            for e, u in inc[stack.pop()]:
+                if left[e]:
+                    left[e] = 0
                     comp.append(e)
-                    if u not in seen:
-                        seen.add(u)
+                    if not seen[u]:
+                        seen[u] = 1
                         stack.append(u)
         comp.sort()
         comps.append(comp)
@@ -171,6 +185,8 @@ def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
     """
     assert len(comp) % 2 == 0
     inc = g.incidence  # each row ascending; ``left`` restricts it to comp
+    # sets and dicts, not arrays over all edges and vertices: a graph with
+    # many components calls this once per component
     left = set(comp)  # edges not yet paired
     root = min(g.edges[e][0] for e in comp)
     parent_edge: dict[int, int | None] = {root: None}  # BFS tree, seen vertices
@@ -183,15 +199,18 @@ def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
     pairs: list[tuple[int, int, int]] = []  # (edge, edge, center)
     for v in reversed(order):
         pe = parent_edge[v]
-        avail = [e for e, _ in inc[v] if e in left and e != pe]
-        while len(avail) >= 2:
-            a, b = avail.pop(0), avail.pop(0)
-            left.remove(a)
-            left.remove(b)
-            pairs.append((a, b, v))
-        if avail:
+        a = None  # an unused edge at v still waiting for a partner
+        for e, _ in inc[v]:
+            if e in left and e != pe:
+                if a is None:
+                    a = e
+                else:
+                    left.remove(a)
+                    left.remove(e)
+                    pairs.append((a, e, v))
+                    a = None
+        if a is not None:
             assert pe is not None and pe in left
-            a = avail.pop()
             left.remove(a)
             left.remove(pe)
             pairs.append((a, pe, v) if a < pe else (pe, a, v))
@@ -206,7 +225,7 @@ def _decompose(g: Graph, build_odd) -> Decomposition:
     elements: list[Element] = []
     for comp in _edge_components(g, range(g.m)):
         elements.extend(build_odd(g, comp) if len(comp) % 2 else _pair_component(g, comp))
-    return Decomposition(tuple(sorted(elements, key=lambda el: el.edges)), g)
+    return Decomposition(tuple(sorted(elements, key=attrgetter("edges"))), g)
 
 
 def _reject_odd_component(g: Graph, comp: list[int]) -> list[Element]:

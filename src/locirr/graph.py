@@ -65,12 +65,15 @@ class Graph:
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex: sorted tuple of (edge id, other endpoint)."""
+        """Per vertex: sorted tuple of (edge id, other endpoint).
+
+        Rows are filled in ascending edge-id order, and a loopless graph puts
+        an edge in a row once, so each row is sorted as built."""
         inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for e, (u, v) in enumerate(self.edges):
             inc[u].append((e, v))
             inc[v].append((e, u))
-        return tuple(tuple(sorted(x)) for x in inc)
+        return tuple(map(tuple, inc))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted({u for _, u in self.incidence[v]}))

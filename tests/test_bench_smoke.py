@@ -32,6 +32,11 @@ def test_solve_cubic_bench_prints_one_json_result():
     _check_one_json_result("solve-cubic")
 
 
+def test_color_bench_prints_one_json_result():
+    # the decompose->color path untraced: the timed run and its output checks
+    _check_one_json_result("color-cubic-large")
+
+
 def test_traced_bench_prints_one_json_result():
     # a traced run reports one constructive.rule.<field> metric per
     # SubcubicStats field, so renaming, adding or removing a field, or a

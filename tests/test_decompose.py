@@ -71,6 +71,32 @@ class TestElement:
         d = pertinent_decomposition(BULL)
         assert Decomposition.from_json(BULL, d.to_json()) == d
 
+    def test_contract_on_the_subcubic_corpus(self, subcubic_small):
+        # ``vertices`` is fixed at construction and stays out of the
+        # constructor, equality, hash and repr
+        def check(g, el):
+            assert el.vertices == tuple(sorted(el.central_vertices + el.pendant_vertices))
+            twin = Element(el.kind, el.edges, el.central_vertices, el.pendant_vertices)
+            assert twin == el and hash(twin) == hash(el)
+            assert repr(el) == (
+                f"Element(kind={el.kind!r}, edges={el.edges!r}, "
+                f"central_vertices={el.central_vertices!r}, "
+                f"pendant_vertices={el.pendant_vertices!r})"
+            )
+            assert Element.from_edges(g, el.edges) == el
+
+        for g in subcubic_small:
+            try:
+                d = strongly_pertinent_decomposition(g)
+            except DecompositionError:
+                continue
+            for el in d.elements:
+                check(g, el)
+            assert Decomposition.from_json(g, d.to_json()) == d
+        built = ((path_graph(2), (1, 0)), (star_graph(3), (2, 0, 1)), (K13PP, (4, 3, 2, 1, 0)))
+        for g, edges in built:
+            check(g, Element.from_edges(g, edges))
+
     @pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1], [0, 1], [2, 3]], [[0, 1], [2, 4]]])
     def test_json_must_partition(self, edges):
         text = json.dumps({"elements": [{"edges": e} for e in edges]})

@@ -49,6 +49,15 @@ def graphs(draw, n_max=9):
     return Graph(n, tuple(p for p, take in zip(pairs, picks) if take))
 
 
+@st.composite
+def multigraphs(draw, n_max=7, m_max=14):
+    """Loopless multigraphs: endpoint pairs drawn with repetition, so
+    parallel edges occur."""
+    n = draw(st.integers(2, n_max))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    return Graph(n, tuple(draw(st.lists(pair, max_size=m_max))), multigraph=True)
+
+
 class TestGraphInvariants:
     def test_no_self_loops(self):
         with pytest.raises(GraphError):
@@ -88,6 +97,20 @@ class TestGraphInvariants:
     def test_json_round_trip(self):
         g = Graph(3, ((0, 1), (0, 1), (1, 2)), multigraph=True)
         assert Graph.from_json(g.to_json()) == g
+
+    @given(multigraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_incidence_rows_ascend_by_edge_id(self, g):
+        # Graph.incidence does not sort its rows: it fills them in edge-id
+        # order, and _pair_component relies on the rows ascending
+        rows = [[] for _ in range(g.n)]
+        for e, (u, v) in enumerate(g.edges):
+            rows[u].append((e, v))
+            rows[v].append((e, u))
+        for v, row in enumerate(g.incidence):
+            ids = [e for e, _ in row]
+            assert ids == sorted(set(ids))
+            assert row == tuple(sorted(row)) == tuple(sorted(rows[v]))
 
 
 class TestGraph6:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ import oracles
 from locirr.graph import Graph, GraphError, cycle_graph, path_graph, star_graph
 from locirr.irregularity import (
     EdgeColoring,
+    VerificationReport,
     is_locally_irregular,
     kempe_component,
     swap,
@@ -51,6 +54,23 @@ class TestVerify:
     def test_violations_sorted_and_deduplicated(self):
         report = verify_coloring(C4, EdgeColoring((1, 1, 1, 1), 1))
         assert list(report.violations) == sorted(set(report.violations))
+
+    def test_memory_bounded_by_colors_used(self):
+        # one huge color value: the per-vertex counts are renumbered densely,
+        # so memory follows the colors used, not the largest color; the report
+        # keeps the original color values
+        g = Graph(4, ((0, 1), (1, 2)))
+        tracemalloc.start()
+        try:
+            report = verify_coloring(g, EdgeColoring((1, 10**6), 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        small = verify_coloring(g, EdgeColoring((1, 2), 2))
+        renamed = tuple((10**6 if c == 2 else c, u, v) for c, u, v in small.violations)
+        assert report == VerificationReport(small.valid, renamed)
+        assert report.violations == ((1, 0, 1), (10**6, 1, 2))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
