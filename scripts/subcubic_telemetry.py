@@ -30,7 +30,7 @@ def main() -> int:
     for n in range(1, args.max_n + 1):
         level = 0
         for g in enumerate_graphs(n, SUBCUBIC):
-            if g.m == 0 or chi_irr(g, max(1, g.m // 2)).status != COLORED:
+            if g.m == 0 or chi_irr(g).status != COLORED:
                 continue
             stats = SubcubicStats()
             col = color_subcubic_4(g, strongly_pertinent_decomposition(g), stats=stats)

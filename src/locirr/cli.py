@@ -17,7 +17,6 @@ from .constructive import (
     color_balanced_forest_2,
     color_fully_subdivided_2,
     color_subcubic_4,
-    SubcubicStats,
     vertex_parity_color,
 )
 from .decompose import (
@@ -94,8 +93,7 @@ def cmd_chi_irr(args) -> int:
     graphs = load_graphs(args.graph)
     code = OK
     for g in graphs:
-        k_max = args.k_max if args.k_max is not None else max(1, g.m // 2)
-        res = chi_irr(g, k_max, node_budget=args.budget)
+        res = chi_irr(g, args.k_max, node_budget=args.budget)
         label = write_graph6(g) if not g.multigraph else "<multigraph>"
         if res.status == COLORED:
             print(f"{label} chi-irr={res.k} nodes={res.nodes}")
@@ -106,7 +104,7 @@ def cmd_chi_irr(args) -> int:
             print(f"{label} budget-exhausted")
             return BUDGET
         else:
-            print(f"{label} refuted up to k={k_max}")
+            print(f"{label} refuted up to k={args.k_max}")
             code = max(code, NEGATIVE)
     return code
 
@@ -143,13 +141,14 @@ def cmd_color(args) -> int:
     g = load_graph(args.graph)
     method = args.method
     if method == "exact":
-        k_max = args.k_max if args.k_max is not None else max(1, g.m // 2)
-        res = chi_irr(g, k_max, node_budget=args.budget)
+        res = chi_irr(g, args.k_max, node_budget=args.budget)
         if res.status == EXCEEDED_BUDGET:
             print("budget-exhausted")
             return BUDGET
         if res.status != COLORED:
-            print(f"no coloring with at most {k_max} colors ({res.status})")
+            # with no --k-max, chi_irr searched its default bound
+            shown = args.k_max or max(1, g.m // 2)
+            print(f"no coloring with at most {shown} colors ({res.status})")
             return NEGATIVE
         print(res.coloring.to_json())
         return OK
@@ -160,8 +159,7 @@ def cmd_color(args) -> int:
             print(f"no decomposition: {exc}")
             return NEGATIVE
         trace: list[str] | None = [] if args.trace else None
-        stats = SubcubicStats()
-        col = color_subcubic_4(g, d, stats=stats, trace=trace)
+        col = color_subcubic_4(g, d, trace=trace)
         if trace:
             for line in trace:
                 print(f"# {line}", file=sys.stderr)

@@ -22,8 +22,10 @@ from .graph import Graph, GraphError, fully_subdivide
 from .irregularity import EdgeColoring, verify_coloring
 from .solver import (
     COLORED,
+    REFUTED,
     _Budget,
     _assignment_to_coloring,
+    _search_levels,
     backtrack,
     _pair_rule,
     central_pair_ok,
@@ -32,6 +34,14 @@ from .solver import (
     search_groups,
     shared_vertices,
 )
+
+
+def _verified(g: Graph, col: EdgeColoring, what: str) -> EdgeColoring:
+    """``col`` once ``verify_coloring`` passes it on ``g``; GraphError, a
+    bug in the colorer named by ``what``, otherwise."""
+    if not verify_coloring(g, col).valid:
+        raise GraphError(f"{what} failed local irregularity (bug)")
+    return col
 
 
 # -- parity machinery ---------------------------------------------------------
@@ -178,14 +188,10 @@ def color_balanced_forest_2(f: Graph, b: Bipartition) -> EdgeColoring:
     ]
     rank = {e: i for i, e in enumerate(edge_order(f))}
     bundles.sort(key=lambda grp: min(rank[e] for e in grp))
-    for k in (1, 2):
-        assignment, _ = search_groups(f, bundles, k)
-        if assignment is not None:
-            col = _assignment_to_coloring(f, bundles, assignment, k)
-            if not verify_coloring(f, col).valid:
-                raise GraphError("balanced forest bundle coloring failed local irregularity (bug)")
-            return col
-    raise GraphError("balanced forest refused a 2-color bundle coloring (bug)")
+    res = _search_levels(f, bundles, 2, None, None, REFUTED)
+    if res.status != COLORED:
+        raise GraphError("balanced forest refused a 2-color bundle coloring (bug)")
+    return res.coloring
 
 
 # -- proper edge coloring -----------------------------------------------------
@@ -284,10 +290,8 @@ def proper_edge_color(g: Graph) -> EdgeColoring:
         for e in path:
             uncolor(e)
         want = second
-        x = start
         for e in path:
             set_color(e, want)
-            x = other(e, x)
             want = first if want == second else second
 
     for e0 in range(g.m):
@@ -399,10 +403,7 @@ def color_fully_subdivided_2(g_base: Graph) -> EdgeColoring:
                 colors[h] = c
                 colors[h ^ 1] = 3 - c if split else c
     k = 2 if any(c == 2 for c in colors) else (1 if colors else 0)
-    col = EdgeColoring(tuple(colors), k)
-    if not verify_coloring(fully_subdivide(g_base), col).valid:
-        raise GraphError("thread coloring failed local irregularity (bug)")
-    return col
+    return _verified(fully_subdivide(g_base), EdgeColoring(tuple(colors), k), "thread coloring")
 
 
 # -- balanced bipartite graphs --------------------------------------------------
@@ -420,10 +421,7 @@ def _cycle_run_coloring(g: Graph) -> EdgeColoring:
         colors[e] = 3 if i >= g.m - 2 else 1 + (i // 2) % 2
         v = g.edges[e][0] if g.edges[e][1] == v else g.edges[e][1]
         prev_e = e
-    col = EdgeColoring(tuple(colors), 3)
-    if not verify_coloring(g, col).valid:
-        raise GraphError("cycle run pattern failed local irregularity (bug)")
-    return col
+    return _verified(g, EdgeColoring(tuple(colors), 3), "cycle run pattern")
 
 
 def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
@@ -447,11 +445,7 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
     others = sorted(b.other_side)
     if len(others) != 3:
         sig = tuple(0 if v in b.even_side else 1 for v in range(g.n))
-        col = vertex_parity_color(ParityPair(g, sig), 4)
-        rep = verify_coloring(g, col)
-        if not rep.valid:
-            raise GraphError("parity coloring failed local irregularity (bug)")
-        return col
+        return _verified(g, vertex_parity_color(ParityPair(g, sig), 4), "parity coloring")
     # every even-side vertex has even degree with at most 3 possible
     # neighbors, hence degree exactly 2: g fully subdivides a multigraph H
     idx = {v: i for i, v in enumerate(others)}
@@ -479,11 +473,7 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
         ec = gid[tuple(sorted((w, others[c])))]
         colors[ea] = col_s.colors[2 * e]
         colors[ec] = col_s.colors[2 * e + 1]
-    col = EdgeColoring(tuple(colors), col_s.k)
-    rep = verify_coloring(g, col)
-    if not rep.valid:
-        raise GraphError("subdivision route produced an invalid coloring (bug)")
-    return col
+    return _verified(g, EdgeColoring(tuple(colors), col_s.k), "subdivision route")
 
 
 # -- subcubic 4-coloring --------------------------------------------------------
@@ -762,8 +752,7 @@ def color_subcubic_4(
                 "element-uniform 4-coloring refuted; decomposition is not colorable"
             )
         col = res.coloring
-    if not verify_coloring(g, col).valid:
-        raise GraphError("subcubic coloring failed local irregularity (bug)")
+    _verified(g, col, "subcubic coloring")
     failures = _element_failures(els, table, col.colors)
     if failures:
         raise GraphError(f"subcubic coloring broke an element property: {failures[0]} (bug)")

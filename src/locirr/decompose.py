@@ -164,16 +164,6 @@ def _edge_components(g: Graph, eids) -> list[list[int]]:
     return comps
 
 
-def _incidence(g: Graph, comp: list[int]) -> dict[int, list[tuple[int, int]]]:
-    """(edge, other endpoint) pairs at each vertex touched by an edge set."""
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for e in comp:
-        u, v = g.edges[e]
-        inc.setdefault(u, []).append((e, v))
-        inc.setdefault(v, []).append((e, u))
-    return inc
-
-
 def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
     """Pair a connected even-size edge set, in ascending order, into 2-paths,
     sorted by their edges.
@@ -241,34 +231,36 @@ def two_path_decomposition(g: Graph) -> Decomposition:
 # -- claw placements ----------------------------------------------------------
 
 
-def _claw_trios(inc: dict[int, list[tuple[int, int]]]):
+def _claw_trios(g: Graph, comp: list[int]):
     """Each center with three of its (edge, leaf) pairs at distinct leaves,
-    in ascending (center, leaves) order."""
-    for center in sorted(inc):
-        for trio in combinations(sorted(inc[center], key=lambda x: (x[1], x[0])), 3):
+    in ascending (center, leaves) order, in the whole component ``comp``."""
+    for center in sorted({v for e in comp for v in g.edges[e]}):
+        for trio in combinations(sorted(g.incidence[center], key=lambda x: (x[1], x[0])), 3):
             if len({u for _, u in trio}) == 3:
                 yield center, trio
 
 
 def _claw_placements(g: Graph, comp: list[int]):
-    """K_{1,3} edge triples within an edge set, ascending (center, leaves)."""
-    for _, trio in _claw_trios(_incidence(g, comp)):
+    """K_{1,3} edge triples within a whole component, ascending (center,
+    leaves)."""
+    for _, trio in _claw_trios(g, comp):
         yield tuple(sorted(e for e, _ in trio))
 
 
 def _subdivided_claw_placements(g: Graph, comp: list[int]):
-    """K_{1,3}'' edge quintuples within an edge set, deterministic order."""
-    inc = _incidence(g, comp)
+    """K_{1,3}'' edge quintuples within a whole component, deterministic
+    order."""
+    inc = g.incidence
     seen = set()
-    for center, trio in _claw_trios(inc):
+    for center, trio in _claw_trios(g, comp):
         # pick the direct leaf; the other two legs get extended by one edge
         for ai in range(3):
             ea, a = trio[ai]
             (eb, b), (ec, c) = [trio[i] for i in range(3) if i != ai]
-            for eb2, b2 in sorted(inc.get(b, []), key=lambda x: (x[1], x[0])):
+            for eb2, b2 in sorted(inc[b], key=lambda x: (x[1], x[0])):
                 if eb2 == eb or b2 in (center, a, c):
                     continue
-                for ec2, c2 in sorted(inc.get(c, []), key=lambda x: (x[1], x[0])):
+                for ec2, c2 in sorted(inc[c], key=lambda x: (x[1], x[0])):
                     if ec2 == ec or ec2 == eb2 or c2 in (center, a, b, b2):
                         continue
                     key = tuple(sorted((ea, eb, ec, eb2, ec2)))

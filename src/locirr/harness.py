@@ -16,8 +16,7 @@ from .decompose import (
 )
 from .enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, GraphClassFilter
 from .enumerate import enumerate_graphs, enumerate_trees
-from .graph import Graph, GraphError, cube_graph, json_int, write_graph6
-from .irregularity import EdgeColoring
+from .graph import Graph, GraphError, cube_graph, json_int, parse_graph6, write_graph6
 from .solver import (
     COLORED,
     EXCEEDED_BUDGET,
@@ -29,6 +28,7 @@ from .solver import (
 )
 
 CHECKPOINT_VERSION = 1
+FIG6_MAX_SCAN = 200_000  # decompositions fig6_experiment scans at most
 
 
 class BudgetExhausted(RuntimeError):
@@ -56,6 +56,16 @@ class CampaignReport:
     def tested(self) -> int:
         return sum(self.per_n.values())
 
+    def tables(self) -> dict:
+        """The count tables, keys ascending as strings, and the sorted
+        exceeders: the body of both the report JSON and a checkpoint."""
+        out = {
+            key: {str(k): v for k, v in sorted(getattr(self, key).items())}
+            for key in ("per_n", "non_decomposable", "histogram")
+        }
+        out["exceeders"] = sorted(self.exceeders)
+        return out
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -63,12 +73,7 @@ class CampaignReport:
                 "n_max": self.n_max,
                 "bound": self.bound,
                 "method": self.method,
-                "per_n": {str(k): v for k, v in sorted(self.per_n.items())},
-                "non_decomposable": {
-                    str(k): v for k, v in sorted(self.non_decomposable.items())
-                },
-                "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-                "exceeders": sorted(self.exceeders),
+                **self.tables(),
             },
             indent=2,
         )
@@ -88,40 +93,33 @@ FAMILIES = {
 }
 
 
-def _test_one(g: Graph, bound: int, method: str, node_budget: int | None):
-    """Classify one graph: ('skip', 0) for non-decomposable inputs, otherwise
-    ('ok'|'exceeder', colors used)."""
+def _classify(g: Graph, bound: int, method: str, node_budget: int | None):
+    """Classify one graph as (kind, colors used): kind 'skip' for a
+    non-decomposable input, 'budget' when the node budget ran out, otherwise
+    'ok' or 'exceeder'."""
     if g.m == 0:
         return ("ok", 0)
     if method == "exact":
         # one solve up to floor(m/2) colors finds the index even past the
         # bound, so the budget covers the graph's whole solve
-        res = chi_irr(g, max(bound, g.m // 2, 1), node_budget=node_budget)
+        res = chi_irr(g, node_budget=node_budget)
         if res.status == NOT_DECOMPOSABLE:
             return ("skip", 0)
         if res.status == EXCEEDED_BUDGET:
-            raise BudgetExhausted(f"node budget hit on {write_graph6(g)}")
-        return (("exceeder" if res.k > bound else "ok"), res.k)
-    if method == "constructive":
+            return ("budget", 0)
+        k = res.k
+    else:  # "constructive"; run_campaign checks the method
         try:
             d = strongly_pertinent_decomposition(g)
         except DecompositionError:
             return ("skip", 0)
-        col = color_subcubic_4(g, d)
-        return (("exceeder" if col.k > bound else "ok"), col.k)
-    raise GraphError(f"unknown method {method!r}")
+        k = color_subcubic_4(g, d).k
+    return ("exceeder" if k > bound else "ok", k)
 
 
 def _worker(args):
     g6, bound, method, node_budget = args
-    from .graph import parse_graph6
-
-    g = parse_graph6(g6)
-    try:
-        kind, k = _test_one(g, bound, method, node_budget)
-    except BudgetExhausted:
-        return (g6, "budget", 0)
-    return (g6, kind, k)
+    return (g6, *_classify(parse_graph6(g6), bound, method, node_budget))
 
 
 def _count_table(value) -> dict[int, int]:
@@ -163,15 +161,8 @@ def _load_checkpoint(path: str, params: dict, report: CampaignReport) -> int:
 
 
 def _save_checkpoint(path: str, params: dict, done_n: int, report: CampaignReport):
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "params": params,
-        "done_n": done_n,
-        "per_n": {str(k): v for k, v in report.per_n.items()},
-        "non_decomposable": {str(k): v for k, v in report.non_decomposable.items()},
-        "histogram": {str(k): v for k, v in report.histogram.items()},
-        "exceeders": sorted(report.exceeders),
-    }
+    payload = {"version": CHECKPOINT_VERSION, "params": params, "done_n": done_n}
+    payload.update(report.tables())
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
@@ -238,13 +229,7 @@ def run_campaign(
             with multiprocessing.Pool(jobs) as pool:
                 results = pool.map(_worker, tasks, chunksize=8)
         else:
-            results = []
-            for g in graphs:
-                try:
-                    kind, k = _test_one(g, bound, method, node_budget)
-                except BudgetExhausted:
-                    kind, k = "budget", 0
-                results.append((write_graph6(g), kind, k))
+            results = [(write_graph6(g), *_classify(g, bound, method, node_budget)) for g in graphs]
         spent = [g6 for g6, kind, _ in results if kind == "budget"]
         if spent:
             # drop the whole level: a partially counted level would be
@@ -288,7 +273,6 @@ def find_tree_needing_3(max_edges: int = 10) -> TreeSearchReport:
     irregular chromatic index 3; along the way confirm that decomposable
     trees of maximum degree at least 5 never need a third color."""
     witness = None
-    witness_chi = 0
     refut_nodes = 0
     scanned = 0
     delta5_ok = True
@@ -302,17 +286,15 @@ def find_tree_needing_3(max_edges: int = 10) -> TreeSearchReport:
                 delta5_ok = False
             if res.k == 3 and witness is None:
                 recheck = chi_irr(t, 2)
-                assert recheck.status == REFUTED
-                confirm = chi_irr(t, 3)
-                assert confirm.status == COLORED and confirm.k == 3
+                if recheck.status != REFUTED:
+                    raise GraphError(f"tree {write_graph6(t)} of index 3 not refuted at 2 (bug)")
                 witness = t
-                witness_chi = 3
                 refut_nodes = recheck.nodes
         if witness is not None and m >= max_edges:
             break
     if witness is None:
         raise GraphError(f"no tree with chromatic index 3 within {max_edges} edges")
-    return TreeSearchReport(witness, witness_chi, refut_nodes, scanned, delta5_ok)
+    return TreeSearchReport(witness, 3, refut_nodes, scanned, delta5_ok)
 
 
 # -- subdivided-cube experiment (second figure) ----------------------------------
@@ -348,7 +330,7 @@ class DecompositionWitness:
     coloring_json: str | None
 
 
-def fig6_experiment(max_scan: int = 200_000) -> Fig6Report:
+def fig6_experiment() -> Fig6Report:
     """Scan 2-path decompositions of the subdivided cube for two witnesses:
     one refuting 3 element-uniform colors and one admitting 2."""
     g = fig6_instance()
@@ -368,7 +350,7 @@ def fig6_experiment(max_scan: int = 200_000) -> Fig6Report:
             res3 = element_uniform_search(g, d, 3, enforce_property_ii=False)
             if res3.status == REFUTED:
                 refuted = DecompositionWitness(d.to_json(), REFUTED, None, None)
-        if (refuted and two_col) or scanned >= max_scan:
+        if (refuted and two_col) or scanned >= FIG6_MAX_SCAN:
             break
     if refuted is None or two_col is None:
         raise GraphError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,24 +62,19 @@ def verify_coloring(g: Graph, c: EdgeColoring) -> VerificationReport:
     """Check that every color class induces a locally irregular graph."""
     if len(c.colors) != g.m:
         raise GraphError(f"coloring has {len(c.colors)} entries for {g.m} edges")
-    # per vertex, its count of edges of each color, in lists indexed by
-    # color.  EdgeColoring keeps every color in 1..k, but a color may be far
-    # larger than the edge count; then the used colors are renumbered
-    # densely, in order, so the lists stay as short as the colors used
+    # per vertex, its count of edges of each color: lists indexed by color
+    # while they hold a few entries per edge, dicts otherwise, so memory
+    # stays proportional to the edges whatever the color values
     colors = c.colors
     top = max(colors, default=0)
-    used = sorted(set(colors)) if top > g.m else None
-    if used is not None:
-        dense = {col: i for i, col in enumerate(used, 1)}
-        colors = [dense[col] for col in colors]
-        top = len(used)
-    per = [[0] * (top + 1) for _ in range(g.n)]
+    if top * g.n <= 4 * g.m:
+        per = [[0] * (top + 1) for _ in range(g.n)]
+    else:
+        per = [defaultdict(int) for _ in range(g.n)]
     for (u, v), col in zip(g.edges, colors):
         per[u][col] += 1
         per[v][col] += 1
     found = {(col, u, v) for (u, v), col in zip(g.edges, colors) if per[u][col] == per[v][col]}
-    if used is not None:  # report the original colors
-        found = {(used[col - 1], u, v) for col, u, v in found}
     violations = tuple(sorted(found))
     return VerificationReport(not violations, violations)
 

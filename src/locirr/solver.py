@@ -23,9 +23,10 @@ complete early and closure cuts a bad branch soon after it is made;
 searches over decomposition elements, the decomposer's colorability check
 included, take the elements in ``in_edge_order``, by their first edge in
 that order.  The parity and proper edge-coloring searches in
-``constructive`` use the engine with their own hooks.  A node budget given
-to ``chi_irr`` or ``element_uniform_search`` covers the whole call, all k
-together.
+``constructive`` use the engine with their own hooks.  ``chi_irr`` searches
+up to floor(m/2) colors, the bound past which no coloring can exist, unless
+given a smaller ``k_max``.  A node budget given to ``chi_irr`` or
+``element_uniform_search`` covers the whole call, all k together.
 """
 
 from __future__ import annotations
@@ -57,13 +58,17 @@ class _Budget(Exception):
     """Raised by ``backtrack`` once its node count passes the budget."""
 
 
-def edge_order(g: Graph) -> list[int]:
+def edge_order(g: Graph, starts=None) -> list[int]:
     """Branching order by greedy vertex completion: components in order of
     their least vertex, each started at that vertex; a taken vertex emits its
     edges not yet emitted, in ``g.incidence`` order.  The next vertex taken
     is the one with the most edges emitted, ties going to the fewest edges
     left and then to the least index: maximum cardinality search (Tarjan &
     Yannakakis 1984) with a tie-break that completes vertices soon.
+
+    ``starts``, ascending vertices, limits the order to their components;
+    given every vertex of some whole components, it is the whole order
+    restricted to their edges, in time linear in their size.
 
     A vertex is complete once all its edges are emitted, so the closure
     check in ``search_groups`` judges each edge a few positions after the
@@ -73,7 +78,7 @@ def edge_order(g: Graph) -> list[int]:
     taken = [False] * g.n
     got = [0] * g.n  # edges emitted at each vertex
     order = []
-    for s in range(g.n):
+    for s in range(g.n) if starts is None else starts:
         if taken[s]:
             continue
         heap = [(0, 0, s)]
@@ -149,17 +154,23 @@ def search_groups(
     raises _Budget when the node budget runs out.
     """
     edges = g.edges
-    cnt = [[0] * (k + 1) for _ in range(g.n)]
     ecolor = [0] * g.m
     # closure: an edge is final once every active edge at both its endpoints
     # is colored.  The position that completes a vertex is the last one with
     # an edge at it, so each edge's check is fixed here, at the later of its
-    # endpoints' completing positions.
+    # endpoints' completing positions.  Count rows go only to the vertices
+    # the groups touch, so a search over one component of a large graph
+    # costs its own size.
     last = [0] * g.n
+    cnt: list = [None] * g.n
     for gi, grp in enumerate(groups):
         for e in grp:
             u, v = edges[e]
             last[u] = last[v] = gi
+            if cnt[u] is None:
+                cnt[u] = [0] * (k + 1)
+            if cnt[v] is None:
+                cnt[v] = [0] * (k + 1)
     ends: list[list] = []  # (edge, cnt rows of its ends) per position
     closing: list[list] = [[] for _ in groups]  # edges judged at each position
     for grp in groups:
@@ -208,10 +219,11 @@ def search_groups(
 
 def in_edge_order(g: Graph, elements) -> list:
     """``elements`` sorted by the least ``edge_order`` position of their
-    edges: the branching order of every element-uniform search."""
-    rank = [0] * g.m
-    for i, e in enumerate(edge_order(g)):
-        rank[e] = i
+    edges: the branching order of every element-uniform search.  The order
+    starts from the elements' own vertices, so elements covering whole
+    components are ranked in the whole graph's order, at their own cost."""
+    starts = sorted({v for el in elements for v in el.vertices})
+    rank = {e: i for i, e in enumerate(edge_order(g, starts))}
     return sorted(elements, key=lambda el: min(rank[e] for e in el.edges))
 
 
@@ -303,21 +315,26 @@ def check_budget(node_budget: int | None) -> None:
         raise GraphError(f"node budget must be nonnegative, got {node_budget}")
 
 
-def chi_irr(g: Graph, k_max: int, node_budget: int | None = None) -> SolveResult:
+def chi_irr(g: Graph, k_max: int | None = None, node_budget: int | None = None) -> SolveResult:
     """Exact locally irregular chromatic index, searching k = 1..k_max in
-    order; ``node_budget`` bounds the nodes of the whole call."""
-    if k_max < 1:
+    order; ``node_budget`` bounds the nodes of the whole call.
+
+    Every nonempty locally irregular class has at least 2 edges, so
+    floor(m/2) colors suffice whenever any coloring exists: the search stops
+    there, and exhausting it gives NOT_DECOMPOSABLE.  ``k_max=None``
+    searches to that bound; a smaller ``k_max`` that is exhausted gives
+    REFUTED."""
+    if k_max is not None and k_max < 1:
         raise GraphError("k_max must be at least 1")
     check_budget(node_budget)
     start = time.perf_counter()
     if g.m == 0:
         return SolveResult(COLORED, 0, EdgeColoring((), 0), 0, time.perf_counter() - start)
-    # every nonempty locally irregular class has >= 2 edges, so floor(m/2)
-    # colors always suffice when any coloring exists at all
     bound = g.m // 2
     groups = [(e,) for e in edge_order(g)]
-    exhausted = NOT_DECOMPOSABLE if k_max >= bound else REFUTED
-    return _search_levels(g, groups, min(k_max, bound), None, node_budget, exhausted)
+    if k_max is None or k_max >= bound:
+        return _search_levels(g, groups, bound, None, node_budget, NOT_DECOMPOSABLE)
+    return _search_levels(g, groups, k_max, None, node_budget, REFUTED)
 
 
 @dataclass(frozen=True)
@@ -330,8 +347,7 @@ class DecomposabilityCertificate:
 
 def is_decomposable(g: Graph, node_budget: int | None = None) -> DecomposabilityCertificate:
     """Decide decomposability by exhaustive search up to floor(m/2) colors."""
-    bound = max(1, g.m // 2)
-    res = chi_irr(g, bound, node_budget=node_budget)
+    res = chi_irr(g, node_budget=node_budget)
     if res.status == COLORED:
         return DecomposabilityCertificate(True, res.coloring, None, res.nodes)
     if res.status == EXCEEDED_BUDGET:

@@ -62,6 +62,44 @@ class TestChiIrr:
         assert code == 0 and "chi-irr=2" in out
 
 
+class TestGoldenOutput:
+    # exact stdout and exit code of the exact solver's commands on a graph
+    # refuted at --k-max 1 (C6, index 3) and on non-decomposable ones (C5,
+    # and K2, whose floor(m/2) is 0)
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (("chi-irr", "EhEG", "--k-max", "1"), 2, "EhEG refuted up to k=1\n"),
+            (("chi-irr", "Dhc"), 2, "Dhc not-decomposable\n"),
+            (("chi-irr", "A_"), 2, "A_ not-decomposable\n"),
+            (("chi-irr", "Dhc", "--k-max", "1"), 2, "Dhc refuted up to k=1\n"),
+            (
+                ("color", "EhEG", "--method", "exact", "--k-max", "1"),
+                2,
+                "no coloring with at most 1 colors (refuted)\n",
+            ),
+            (
+                ("color", "Dhc", "--method", "exact"),
+                2,
+                "no coloring with at most 2 colors (not_decomposable)\n",
+            ),
+            (
+                ("color", "A_", "--method", "exact"),
+                2,
+                "no coloring with at most 1 colors (not_decomposable)\n",
+            ),
+            (
+                ("color", "Dhc", "--method", "exact", "--k-max", "5"),
+                2,
+                "no coloring with at most 5 colors (not_decomposable)\n",
+            ),
+        ],
+    )
+    def test_exact_commands(self, capsys, argv, code, out):
+        assert write_graph6(cycle_graph(6)) == "EhEG" and C5 == "Dhc"
+        assert run(capsys, *argv)[:2] == (code, out)
+
+
 class TestPipelines:
     def test_decompose_color_verify(self, capsys, tmp_path):
         code, out, _ = run(capsys, "decompose", "C~", "--mode", "strong")

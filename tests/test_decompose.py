@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import networkx as nx
 import pytest
@@ -352,3 +353,16 @@ def test_decompose_at_ten_thousand_edges():
     d = strongly_pertinent_decomposition(g)
     assert validate_decomposition(g, d, "strongly_pertinent").valid
     assert len(d.elements) == g.m // 2
+
+
+def test_many_odd_components_in_linear_time():
+    # each odd component's colorability check orders and searches only
+    # that component, so the time grows linearly with the claw count
+    k = 2_000
+    g = Graph(4 * k, tuple((4 * i, 4 * i + j) for i in range(k) for j in (1, 2, 3)))
+    start = time.perf_counter()
+    d = pertinent_decomposition(g)
+    assert time.perf_counter() - start < 5
+    assert [(el.kind, el.edges) for el in d.elements] == [
+        (CLAW, (3 * i, 3 * i + 1, 3 * i + 2)) for i in range(k)
+    ]

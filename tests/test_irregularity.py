@@ -1,5 +1,6 @@
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,9 +57,9 @@ class TestVerify:
         assert list(report.violations) == sorted(set(report.violations))
 
     def test_memory_bounded_by_colors_used(self):
-        # one huge color value: the per-vertex counts are renumbered densely,
-        # so memory follows the colors used, not the largest color; the report
-        # keeps the original color values
+        # one huge color value: the per-vertex counts are keyed by color, so
+        # memory follows the edges, not the largest color; the report keeps
+        # the original color values
         g = Graph(4, ((0, 1), (1, 2)))
         tracemalloc.start()
         try:
@@ -71,6 +72,40 @@ class TestVerify:
         renamed = tuple((10**6 if c == 2 else c, u, v) for c, u, v in small.violations)
         assert report == VerificationReport(small.valid, renamed)
         assert report.violations == ((1, 0, 1), (10**6, 1, 2))
+
+    def test_memory_linear_with_a_color_per_edge(self):
+        # colors 1..m: lists indexed by color would take n * m entries
+        h = nx.random_regular_graph(3, 1000, seed=0)
+        g = Graph(1000, tuple(h.edges()))
+        col = EdgeColoring(tuple(range(1, g.m + 1)), g.m)
+        tracemalloc.start()
+        try:
+            report = verify_coloring(g, col)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.violations) == g.m  # every class is a lone edge
+        assert peak < 2**20
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_renaming_colors_renames_violations(self, data):
+        from conftest import random_graph
+
+        g = random_graph(data.draw(st.randoms(use_true_random=False)))
+        k = data.draw(st.integers(1, 4))
+        colors = tuple(data.draw(st.integers(1, k)) for _ in range(g.m))
+        # an injective renaming, values far above m included
+        names = data.draw(
+            st.lists(st.integers(1, 10**9), min_size=k, max_size=k, unique=True)
+        )
+        renamed = tuple(names[c - 1] for c in colors)
+        before = verify_coloring(g, EdgeColoring(colors, k))
+        after = verify_coloring(g, EdgeColoring(renamed, max(names)))
+        assert after.valid == before.valid
+        assert after.violations == tuple(
+            sorted((names[c - 1], u, v) for c, u, v in before.violations)
+        )
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import namedtuple
 
 import networkx as nx
 import pytest
@@ -35,6 +36,7 @@ from locirr.solver import (
     chi_irr,
     edge_order,
     element_uniform_search,
+    in_edge_order,
     is_decomposable,
     search_groups,
     shared_vertices,
@@ -83,6 +85,30 @@ class TestEdgeOrder:
         # left), then 1
         g = Graph(6, ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5)))
         assert edge_order(g) == [0, 1, 4, 2, 3]
+
+    @given(multigraphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_component_order_is_whole_order_restricted(self, g, rng):
+        # parts: random edge groups inside one component each, standing in
+        # for decomposition elements
+        Part = namedtuple("Part", "edges vertices")
+        comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
+        by_comp: dict[int, list[int]] = {}
+        for e in rng.sample(range(g.m), g.m):
+            by_comp.setdefault(comp_of[g.edges[e][0]], []).append(e)
+        parts = {}
+        for ci, es in by_comp.items():
+            cuts = sorted(rng.sample(range(1, len(es)), rng.randint(0, len(es) - 1)))
+            parts[ci] = [
+                Part(tuple(es[a:b]), tuple(sorted({v for e in es[a:b] for v in g.edges[e]})))
+                for a, b in zip([0, *cuts], [*cuts, len(es)])
+            ]
+        rank = {e: i for i, e in enumerate(edge_order(g))}
+        for ci, ps in parts.items():
+            assert in_edge_order(g, ps) == sorted(ps, key=lambda p: min(rank[e] for e in p.edges))
+            starts = sorted({v for p in ps for v in p.vertices})
+            own = [e for e in edge_order(g) if comp_of[g.edges[e][0]] == ci]
+            assert edge_order(g, starts) == own
 
     def test_long_path_past_recursion_limit(self):
         assert edge_order(path_graph(10_000)) == list(range(10_000))
@@ -221,6 +247,17 @@ class TestChiIrr:
         # k_max below the sound floor(m/2) bound cannot certify anything
         assert chi_irr(cycle_graph(6), 2).status == REFUTED
         assert chi_irr(cycle_graph(5), 2).status == NOT_DECOMPOSABLE
+
+    def test_default_k_max_is_half_the_edges(self, connected_small):
+        odd = [path_graph(m) for m in range(1, 12, 2)] + [cycle_graph(m) for m in range(3, 12, 2)]
+        for g in connected_small + odd:
+            default, explicit = chi_irr(g), chi_irr(g, max(1, g.m // 2))
+            assert (default.status, default.k, default.nodes, default.coloring) == (
+                explicit.status,
+                explicit.k,
+                explicit.nodes,
+                explicit.coloring,
+            )
 
     def test_edgeless(self):
         res = chi_irr(Graph(3, ()), 1)
