@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 
 from .graph import Graph, GraphError, json_int
@@ -164,6 +164,17 @@ def _edge_components(g: Graph, eids) -> list[list[int]]:
     return comps
 
 
+def _component_graph(g: Graph, comp: list[int]) -> Graph:
+    """The component with the ascending edges ``comp`` as a graph of its own,
+    edge ``comp[j]`` as edge j, vertices renumbered in ascending order.  The
+    decomposer's and the search's orders follow ids, which this keeps, so
+    the component decides as it would inside ``g``, at its own size."""
+    verts = sorted({v for e in comp for v in g.edges[e]})
+    index = {v: i for i, v in enumerate(verts)}
+    edges = tuple((index[u], index[v]) for u, v in (g.edges[e] for e in comp))
+    return Graph(len(verts), edges, g.multigraph)
+
+
 def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
     """Pair a connected even-size edge set, in ascending order, into 2-paths,
     sorted by their edges.
@@ -212,6 +223,9 @@ def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
 def _decompose(g: Graph, build_odd) -> Decomposition:
     """Pair each even component into 2-paths by ``_pair_component``; hand each
     odd one to ``build_odd(g, comp)``, which returns its elements."""
+    # the pairing may put two parallel edges together, which form no 2-path
+    if g.multigraph and len(set(g.edges)) != g.m:
+        raise GraphError("decomposition needs a simple graph")
     elements: list[Element] = []
     for comp in _edge_components(g, range(g.m)):
         elements.extend(build_odd(g, comp) if len(comp) % 2 else _pair_component(g, comp))
@@ -231,42 +245,37 @@ def two_path_decomposition(g: Graph) -> Decomposition:
 # -- claw placements ----------------------------------------------------------
 
 
-def _claw_trios(g: Graph, comp: list[int]):
+def _claw_trios(g: Graph):
     """Each center with three of its (edge, leaf) pairs at distinct leaves,
-    in ascending (center, leaves) order, in the whole component ``comp``."""
-    for center in sorted({v for e in comp for v in g.edges[e]}):
+    in ascending (center, leaves) order, in the connected graph ``g``."""
+    for center in range(g.n):
         for trio in combinations(sorted(g.incidence[center], key=lambda x: (x[1], x[0])), 3):
             if len({u for _, u in trio}) == 3:
                 yield center, trio
 
 
-def _claw_placements(g: Graph, comp: list[int]):
-    """K_{1,3} edge triples within a whole component, ascending (center,
-    leaves)."""
-    for _, trio in _claw_trios(g, comp):
+def _claw_placements(g: Graph):
+    """K_{1,3} edge triples of a connected graph, ascending (center, leaves)."""
+    for _, trio in _claw_trios(g):
         yield tuple(sorted(e for e, _ in trio))
 
 
-def _subdivided_claw_placements(g: Graph, comp: list[int]):
-    """K_{1,3}'' edge quintuples within a whole component, deterministic
-    order."""
+def _subdivided_claw_placements(g: Graph):
+    """K_{1,3}'' edge quintuples of a connected graph, deterministic order.
+    The six vertices are distinct, so each quintuple fixes the center, the
+    direct leaf and both legs, and is yielded once."""
     inc = g.incidence
-    seen = set()
-    for center, trio in _claw_trios(g, comp):
+    for center, trio in _claw_trios(g):
         # pick the direct leaf; the other two legs get extended by one edge
         for ai in range(3):
             ea, a = trio[ai]
             (eb, b), (ec, c) = [trio[i] for i in range(3) if i != ai]
             for eb2, b2 in sorted(inc[b], key=lambda x: (x[1], x[0])):
-                if eb2 == eb or b2 in (center, a, c):
+                if b2 in (center, a, c):
                     continue
                 for ec2, c2 in sorted(inc[c], key=lambda x: (x[1], x[0])):
-                    if ec2 == ec or ec2 == eb2 or c2 in (center, a, b, b2):
-                        continue
-                    key = tuple(sorted((ea, eb, ec, eb2, ec2)))
-                    if key not in seen:
-                        seen.add(key)
-                        yield key
+                    if c2 not in (center, a, b, b2):
+                        yield tuple(sorted((ea, eb, ec, eb2, ec2)))
 
 
 def _component_colorable(g: Graph, elements: list[Element]) -> bool:
@@ -321,20 +330,21 @@ def _two_path_partitions(g: Graph, unused: list[int]):
             return
 
 
-def _claw_candidates(g: Graph, comp: list[int], placements):
-    """For each placement from ``placements(g, comp)`` whose residual edge
-    components are all even: the placed element, then the spanning-tree
-    2-paths of the residual."""
-    for placement in placements(g, comp):
+def _claw_candidates(g: Graph, placements):
+    """For each placement from ``placements(g)`` of the connected graph ``g``
+    whose residual edge components are all even: the placed element, then
+    the spanning-tree 2-paths of the residual."""
+    for placement in placements(g):
         placed = set(placement)
-        sub = _edge_components(g, [e for e in comp if e not in placed])
+        sub = _edge_components(g, [e for e in range(g.m) if e not in placed])
         if any(len(c) % 2 for c in sub):
             continue
         yield [Element.from_edges(g, placement)] + [el for c in sub for el in _pair_component(g, c)]
 
 
 def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
-    """Decompose an odd-size component: one claw-type element plus 2-paths.
+    """Decompose an odd-size component: one claw-type element plus 2-paths,
+    chosen on the component's own graph and mapped back to ``g``'s ids.
 
     Plain claws are tried before any subdivided claw, so K_{1,3}'' appears
     only when unavoidable (the strong-pertinence certificate).  Among the
@@ -342,17 +352,16 @@ def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
     elements admit a 4-color element-uniform coloring wins; not every
     pertinent decomposition does, so shape alone is not enough.
     """
+    h = _component_graph(g, comp)
     for placements in (_claw_placements, _subdivided_claw_placements):
-        first: list[Element] | None = None
-        for elements in _claw_candidates(g, comp, placements):
-            if first is None:
-                first = elements
-            if _component_colorable(g, elements):
-                return elements
-        if first is not None:
-            # every placement of this claw kind is refutable; keep the shape
-            # anyway (strong pertinence fixes the claw kind, not the coloring)
-            return first
+        candidates = _claw_candidates(h, placements)
+        first = next(candidates, None)
+        if first is None:
+            continue
+        # when every placement of this claw kind is refutable, keep the first
+        # shape anyway (strong pertinence fixes the claw kind, not the coloring)
+        chosen = next((c for c in chain([first], candidates) if _component_colorable(h, c)), first)
+        return [Element.from_edges(g, [comp[e] for e in el.edges]) for el in chosen]
     raise DecompositionError(
         "no pertinent decomposition exists for an odd component; input is likely not decomposable"
     )
@@ -413,7 +422,8 @@ def validate_decomposition(g: Graph, d: Decomposition, mode: str = "any") -> Val
             for ci, claws in claws_per_comp.items():
                 if claws[0].kind != SUBDIVIDED_CLAW:
                     continue
-                if next(_claw_candidates(g, comps[ci], _claw_placements), None) is not None:
+                h = _component_graph(g, comps[ci])
+                if next(_claw_candidates(h, _claw_placements), None) is not None:
                     failures.append(f"component {ci} uses K_{{1,3}}'' although a plain claw works")
     return ValidationReport(not failures, tuple(failures))
 

@@ -202,6 +202,8 @@ def run_campaign(
         flt = family
     if method not in ("exact", "constructive"):
         raise GraphError(f"unknown method {method!r}")
+    if method == "constructive" and (flt.effective_max is None or flt.effective_max > 3):
+        raise GraphError("method 'constructive' needs a family of maximum degree at most 3")
     if n_max < 0:
         raise GraphError(f"n_max must be nonnegative, got {n_max}")
     if bound < 1:

@@ -58,17 +58,13 @@ class _Budget(Exception):
     """Raised by ``backtrack`` once its node count passes the budget."""
 
 
-def edge_order(g: Graph, starts=None) -> list[int]:
+def edge_order(g: Graph) -> list[int]:
     """Branching order by greedy vertex completion: components in order of
     their least vertex, each started at that vertex; a taken vertex emits its
     edges not yet emitted, in ``g.incidence`` order.  The next vertex taken
     is the one with the most edges emitted, ties going to the fewest edges
     left and then to the least index: maximum cardinality search (Tarjan &
     Yannakakis 1984) with a tie-break that completes vertices soon.
-
-    ``starts``, ascending vertices, limits the order to their components;
-    given every vertex of some whole components, it is the whole order
-    restricted to their edges, in time linear in their size.
 
     A vertex is complete once all its edges are emitted, so the closure
     check in ``search_groups`` judges each edge a few positions after the
@@ -78,7 +74,7 @@ def edge_order(g: Graph, starts=None) -> list[int]:
     taken = [False] * g.n
     got = [0] * g.n  # edges emitted at each vertex
     order = []
-    for s in range(g.n) if starts is None else starts:
+    for s in range(g.n):
         if taken[s]:
             continue
         heap = [(0, 0, s)]
@@ -154,23 +150,17 @@ def search_groups(
     raises _Budget when the node budget runs out.
     """
     edges = g.edges
+    cnt = [[0] * (k + 1) for _ in range(g.n)]
     ecolor = [0] * g.m
     # closure: an edge is final once every active edge at both its endpoints
     # is colored.  The position that completes a vertex is the last one with
     # an edge at it, so each edge's check is fixed here, at the later of its
-    # endpoints' completing positions.  Count rows go only to the vertices
-    # the groups touch, so a search over one component of a large graph
-    # costs its own size.
+    # endpoints' completing positions.
     last = [0] * g.n
-    cnt: list = [None] * g.n
     for gi, grp in enumerate(groups):
         for e in grp:
             u, v = edges[e]
             last[u] = last[v] = gi
-            if cnt[u] is None:
-                cnt[u] = [0] * (k + 1)
-            if cnt[v] is None:
-                cnt[v] = [0] * (k + 1)
     ends: list[list] = []  # (edge, cnt rows of its ends) per position
     closing: list[list] = [[] for _ in groups]  # edges judged at each position
     for grp in groups:
@@ -219,11 +209,8 @@ def search_groups(
 
 def in_edge_order(g: Graph, elements) -> list:
     """``elements`` sorted by the least ``edge_order`` position of their
-    edges: the branching order of every element-uniform search.  The order
-    starts from the elements' own vertices, so elements covering whole
-    components are ranked in the whole graph's order, at their own cost."""
-    starts = sorted({v for el in elements for v in el.vertices})
-    rank = {e: i for i, e in enumerate(edge_order(g, starts))}
+    edges: the branching order of every element-uniform search."""
+    rank = {e: i for i, e in enumerate(edge_order(g))}
     return sorted(elements, key=lambda el: min(rank[e] for e in el.edges))
 
 

@@ -211,6 +211,17 @@ class TestPipelines:
         code, out, _ = run(capsys, "decompose", "DUW", "--mode", "2path")
         assert code == 2 and "no decomposition" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("decompose", "--mode", m) for m in ("2path", "pertinent", "strong")]
+        + [("color", "--method", "subcubic4")],
+    )
+    def test_parallel_edges_are_input_error(self, capsys, argv):
+        # 1-colorable, so "no decomposition" (exit 2) would be wrong
+        spec = '{"n":3,"edges":[[0,1],[0,1],[1,2],[1,2]],"multigraph":true}'
+        code, out, err = run(capsys, argv[0], spec, *argv[1:])
+        assert code == 3 and "simple graph" in err and out == ""
+
 
 class TestArbitraryInput:
     """Any text as graph, --signature or --even-side ends in a documented
@@ -272,8 +283,9 @@ class TestCampaignCli:
             ("--max-n", "-1"),
             ("--bound", "0"),
             ("--bound", "-1"),
+            ("--family", "all", "--method", "constructive", "--max-n", "5"),
         ],
-        ids=["budget-5", "jobs0", "jobs-1", "max-n-1", "bound0", "bound-1"],
+        ids=["budget-5", "jobs0", "jobs-1", "max-n-1", "bound0", "bound-1", "constructive-all"],
     )
     def test_invalid_sizes(self, capsys, extra):
         # a later --max-n overrides the one _campaign passes

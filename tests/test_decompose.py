@@ -139,6 +139,22 @@ class TestTwoPath:
             assert all(el.kind == TWO_PATH for el in d.elements)
 
 
+@pytest.mark.parametrize(
+    "build", [two_path_decomposition, pertinent_decomposition, strongly_pertinent_decomposition]
+)
+def test_parallel_edges_refused(build):
+    # the pairing would put the two parallel edges at 1 together, which form
+    # no 2-path; an input error, not "no decomposition"
+    g = Graph(3, ((0, 1), (0, 1), (1, 2), (1, 2)), multigraph=True)
+    with pytest.raises(GraphError, match="simple graph") as exc:
+        build(g)
+    assert not isinstance(exc.value, DecompositionError)
+    # a multigraph without parallel edges decomposes like the simple graph
+    plain = Graph(4, ((0, 1), (1, 2), (2, 3), (1, 3)))
+    loose = Graph(4, plain.edges, multigraph=True)
+    assert build(loose).to_json() == build(plain).to_json()
+
+
 class TestPertinent:
     def test_claw_graph(self):
         d = pertinent_decomposition(star_graph(3))
@@ -283,11 +299,10 @@ class TestColorabilityCheck:
             if g.m % 2 == 0:
                 cases = [list(d.elements) for d in enumerate_two_path_decompositions(g)]
             else:
-                comp = list(range(g.m))
                 cases = [
                     els
                     for placements in (_claw_placements, _subdivided_claw_placements)
-                    for els in _claw_candidates(g, comp, placements)
+                    for els in _claw_candidates(g, placements)
                 ]
             for els in cases:
                 colorable = _component_colorable(g, els)
@@ -356,13 +371,35 @@ def test_decompose_at_ten_thousand_edges():
 
 
 def test_many_odd_components_in_linear_time():
-    # each odd component's colorability check orders and searches only
-    # that component, so the time grows linearly with the claw count
-    k = 2_000
-    g = Graph(4 * k, tuple((4 * i, 4 * i + j) for i in range(k) for j in (1, 2, 3)))
-    start = time.perf_counter()
+    # each odd component is decided on its own graph, so the time grows
+    # linearly with the claw count
+    for k in (2_000, 16_000):
+        g = Graph(4 * k, tuple((4 * i, 4 * i + j) for i in range(k) for j in (1, 2, 3)))
+        start = time.perf_counter()
+        d = pertinent_decomposition(g)
+        assert time.perf_counter() - start < 5
+        assert [(el.kind, el.edges) for el in d.elements] == [
+            (CLAW, (3 * i, 3 * i + 1, 3 * i + 2)) for i in range(k)
+        ]
+
+
+def test_each_check_searches_its_own_component(monkeypatch):
+    # the check's graph holds exactly the component's edges: 3 for each of
+    # the claws, 21 for the odd random cubic component after them
+    sizes = []
+    search = solver.search_groups
+
+    def counted(g, *args, **kwargs):
+        sizes.append(g.m)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "search_groups", counted)
+    k = 50
+    h = nx.random_regular_graph(3, 14, seed=1)
+    assert nx.is_connected(h)
+    claws = [(4 * i, 4 * i + j) for i in range(k) for j in (1, 2, 3)]
+    g = Graph(4 * k + 14, (*claws, *((4 * k + u, 4 * k + v) for u, v in h.edges())))
     d = pertinent_decomposition(g)
-    assert time.perf_counter() - start < 5
-    assert [(el.kind, el.edges) for el in d.elements] == [
-        (CLAW, (3 * i, 3 * i + 1, 3 * i + 2)) for i in range(k)
-    ]
+    assert validate_decomposition(g, d, "pertinent").valid
+    assert sizes[:k] == [3] * k
+    assert len(sizes) > k and set(sizes[k:]) == {21}

@@ -4,7 +4,7 @@ import pytest
 
 from locirr import harness
 from locirr.decompose import Decomposition, validate_decomposition
-from locirr.enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, enumerate_trees
+from locirr.enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, GraphClassFilter, enumerate_trees
 from locirr.graph import GraphError, parse_graph6, write_graph6
 from locirr.harness import (
     BudgetExhausted,
@@ -79,6 +79,10 @@ class TestCampaign:
             {"bound": 0},
             {"bound": -1},
             {"family": "nope"},
+            # color_subcubic_4 needs maximum degree at most 3: rejected
+            # up front, not at the first graph of degree 4 (n=5 for "all")
+            {"family": "all", "n_max": 5, "bound": 4, "method": "constructive"},
+            {"family": GraphClassFilter(max_degree=4), "method": "constructive"},
         ],
     )
     def test_invalid_arguments_rejected(self, kwargs, tmp_path):

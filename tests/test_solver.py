@@ -11,6 +11,8 @@ import oracles
 from locirr.decompose import (
     Decomposition,
     Element,
+    _component_graph,
+    _edge_components,
     enumerate_two_path_decompositions,
     strongly_pertinent_decomposition,
     two_path_decomposition,
@@ -89,26 +91,24 @@ class TestEdgeOrder:
     @given(multigraphs(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_component_order_is_whole_order_restricted(self, g, rng):
-        # parts: random edge groups inside one component each, standing in
-        # for decomposition elements
-        Part = namedtuple("Part", "edges vertices")
-        comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
-        by_comp: dict[int, list[int]] = {}
-        for e in rng.sample(range(g.m), g.m):
-            by_comp.setdefault(comp_of[g.edges[e][0]], []).append(e)
-        parts = {}
-        for ci, es in by_comp.items():
-            cuts = sorted(rng.sample(range(1, len(es)), rng.randint(0, len(es) - 1)))
-            parts[ci] = [
-                Part(tuple(es[a:b]), tuple(sorted({v for e in es[a:b] for v in g.edges[e]})))
-                for a, b in zip([0, *cuts], [*cuts, len(es)])
-            ]
-        rank = {e: i for i, e in enumerate(edge_order(g))}
-        for ci, ps in parts.items():
-            assert in_edge_order(g, ps) == sorted(ps, key=lambda p: min(rank[e] for e in p.edges))
-            starts = sorted({v for p in ps for v in p.vertices})
-            own = [e for e in edge_order(g) if comp_of[g.edges[e][0]] == ci]
-            assert edge_order(g, starts) == own
+        # each edge component on its own renumbered graph (as the decomposer
+        # decides odd components) orders its edges as the whole graph does;
+        # parts: random edge groups inside the component, standing in for
+        # decomposition elements
+        Part = namedtuple("Part", "edges")
+        whole = edge_order(g)
+        rank = {e: i for i, e in enumerate(whole)}
+        for comp in _edge_components(g, range(g.m)):
+            h = _component_graph(g, comp)
+            own = set(comp)
+            assert [comp[e] for e in edge_order(h)] == [e for e in whole if e in own]
+            es = rng.sample(range(h.m), h.m)  # edge j of h is edge comp[j] of g
+            cuts = sorted(rng.sample(range(1, h.m), rng.randint(0, h.m - 1)))
+            parts = [Part(tuple(es[a:b])) for a, b in zip([0, *cuts], [*cuts, h.m])]
+            lifted = [Part(tuple(comp[e] for e in p.edges)) for p in parts]
+            expected = sorted(lifted, key=lambda p: min(rank[e] for e in p.edges))
+            assert in_edge_order(g, lifted) == expected
+            assert [lifted[parts.index(p)] for p in in_edge_order(h, parts)] == expected
 
     def test_long_path_past_recursion_limit(self):
         assert edge_order(path_graph(10_000)) == list(range(10_000))
