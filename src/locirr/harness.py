@@ -180,7 +180,7 @@ def check_output_dir(path: str, what: str) -> None:
 
 
 def run_campaign(
-    family: GraphClassFilter | str,
+    family: str,
     n_max: int,
     bound: int,
     method: str = "exact",
@@ -189,17 +189,13 @@ def run_campaign(
     node_budget: int | None = None,
     progress=None,
 ) -> CampaignReport:
-    """Test every enumerated decomposable graph of the family up to n_max
-    against the color bound.  Per-level checkpointing; resuming with the same
-    parameters reproduces the same final report."""
-    if isinstance(family, str):
-        if family not in FAMILIES:
-            raise GraphError(f"unknown family {family!r}")
-        name = family
-        flt = FAMILIES[family]
-    else:
-        name = repr(family)
-        flt = family
+    """Test every enumerated decomposable graph of the ``FAMILIES`` family
+    named ``family`` up to n_max against the color bound.  Per-level
+    checkpointing; resuming with the same parameters reproduces the same
+    final report."""
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r}")
+    flt = FAMILIES[family]
     if method not in ("exact", "constructive"):
         raise GraphError(f"unknown method {method!r}")
     if method == "constructive" and (flt.effective_max is None or flt.effective_max > 3):
@@ -212,13 +208,13 @@ def run_campaign(
         raise GraphError(f"jobs must be at least 1, got {jobs}")
     check_budget(node_budget)
     params = {
-        "family": name,
+        "family": family,
         "n_max": n_max,
         "bound": bound,
         "method": method,
         "filter": repr(flt),
     }
-    report = CampaignReport(name, n_max, bound, method)
+    report = CampaignReport(family, n_max, bound, method)
     start_n = 1
     if checkpoint:
         check_output_dir(checkpoint, "checkpoint")

@@ -347,6 +347,16 @@ class TestBalanced4:
             )
 
 
+def cubic_union(copies: int, n: int) -> Graph:
+    """Disjoint union of random cubic graphs on n vertices, with seeds
+    0, 1, ..., copies - 1."""
+    edges = []
+    for s in range(copies):
+        h = nx.random_regular_graph(3, n, seed=s)
+        edges.extend((s * n + u, s * n + v) for u, v in h.edges())
+    return Graph(copies * n, tuple(edges))
+
+
 class TestSubcubic4:
     def run(self, g, expect_max=4):
         d = strongly_pertinent_decomposition(g)
@@ -463,10 +473,9 @@ class TestSubcubic4:
             "recolor element 2 -> 3",
         ]
 
-    def test_direct_rule(self):
-        # found by a random search over 2-path decompositions of random
-        # subcubic graphs: element 3 sees all four colors around it, yet
-        # color 1 keeps every class locally irregular
+    def test_full_neighborhood_recolors(self):
+        # a hand-built decomposition where element 3 sees all four colors
+        # around it when it is reinstated: recoloring element 1 frees one
         g = Graph(12, (
             (0, 8), (1, 4), (8, 11), (5, 11), (4, 10), (5, 9), (1, 7), (0, 6),
             (7, 9), (4, 9), (1, 5), (2, 11), (0, 3), (6, 10), (3, 7), (2, 10),
@@ -477,13 +486,30 @@ class TestSubcubic4:
         trace: list[str] = []
         col = color_subcubic_4(g, d, stats=stats, trace=trace)
         assert verify_coloring(g, col).valid and element_properties_ok(g, d, col)[0]
-        assert stats.direct == 1
+        assert (stats.recolor, stats.direct, stats.fallbacks) == (1, 0, 0)
         assert trace == [
             "endgame: proper coloring of the contracted base",
             "free-color 3 for element 5",
             "free-color 4 for element 7",
-            "direct 1 for element 3",
+            "free-color 1 for element 3",
+            "recolor element 1 -> 4",
         ]
+
+    def test_base_case_on_many_claws(self):
+        # 9 odd-size components leave 9 disjoint claws for the base case,
+        # which colors them all without the exhaustive fallback
+        g = cubic_union(9, 14)
+        _, stats = self.run(g)
+        assert (stats.base_cases, stats.fallbacks) == (1, 0)
+
+    def test_many_odd_components_at_ten_thousand_edges(self):
+        assert sys.getrecursionlimit() <= 1000
+        g = cubic_union(120, 62)
+        assert g.m == 11_160
+        start = time.perf_counter()
+        _, stats = self.run(g)  # decompose, color, verify, element properties
+        assert time.perf_counter() - start < 5.0
+        assert (stats.base_cases, stats.fallbacks) == (1, 0)
 
 
 class TestReverification:
