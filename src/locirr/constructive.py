@@ -534,7 +534,26 @@ def color_subcubic_4(
     trace: list | None = None,
 ) -> EdgeColoring:
     """Element-uniform 4-coloring of a subcubic graph from a strongly
-    pertinent decomposition.
+    pertinent decomposition, by ``_color_elements``; GraphError when that
+    refutes it, which strong pertinence does not rule out (CLAW_TRAP in the
+    tests)."""
+    if max(g.degrees, default=0) > 3:
+        raise GraphError("color_subcubic_4 requires maximum degree at most 3")
+    report = validate_decomposition(g, d, mode="strongly_pertinent")
+    if not report.valid:
+        raise GraphError(f"decomposition is not strongly pertinent: {report.failures[0]}")
+    col = _color_elements(g, d, SubcubicStats() if stats is None else stats, trace)
+    if col is None:
+        raise GraphError("element-uniform 4-coloring refuted; decomposition is not colorable")
+    return col
+
+
+def _color_elements(
+    g: Graph, d: Decomposition, stats: SubcubicStats, trace: list | None = None
+) -> EdgeColoring | None:
+    """A verified element-uniform 4-coloring of the pertinent decomposition
+    ``d`` of the subcubic graph ``g``, or None when there is none.  The
+    subcubic colorer and the decomposer's check both run it.
 
     One iterative loop over one coloring, in two phases.  Peeling removes the
     2-path with the fewest remaining incident elements, again and again,
@@ -551,17 +570,8 @@ def color_subcubic_4(
     neighborhood, or recoloring one incident element.  Every rule checks
     local irregularity and the central pair rule only at the vertices of
     the elements it changed.  Any failure goes to the exhaustive
-    element-uniform search, counted in ``stats``; it raises on a
-    refutation, which strong pertinence does not rule out (CLAW_TRAP in the
-    tests).
+    element-uniform search, counted in ``stats``, which decides.
     """
-    if max(g.degrees, default=0) > 3:
-        raise GraphError("color_subcubic_4 requires maximum degree at most 3")
-    report = validate_decomposition(g, d, mode="strongly_pertinent")
-    if not report.valid:
-        raise GraphError(f"decomposition is not strongly pertinent: {report.failures[0]}")
-    if stats is None:
-        stats = SubcubicStats()
     els = d.elements
     table = shared_vertices(els)  # the one pair table of this coloring
     near: list[list[int]] = [[] for _ in els]  # incident elements, ascending
@@ -738,18 +748,14 @@ def color_subcubic_4(
             paint(j, old)
         return False
 
-    done = done and all(map(reinstate, reversed(peeled)))
-    if done:
+    if done and all(map(reinstate, reversed(peeled))):
         col = EdgeColoring(tuple(color[i] for i in el_of), max(color, default=0))
     else:
         stats.fallbacks += 1
         log("fallback: exhaustive element-uniform search")
-        res = element_uniform_search(g, d, 4, enforce_property_ii=True)
-        if res.status != COLORED:
-            raise GraphError(
-                "element-uniform 4-coloring refuted; decomposition is not colorable"
-            )
-        col = res.coloring
+        col = element_uniform_search(g, d, 4, enforce_property_ii=True).coloring
+        if col is None:
+            return None
     _verified(g, col, "subcubic coloring")
     failures = _element_failures(els, table, col.colors)
     if failures:

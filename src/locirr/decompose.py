@@ -17,7 +17,6 @@ from .graph import Graph, GraphError, json_int
 TWO_PATH = "2path"
 CLAW = "claw"
 SUBDIVIDED_CLAW = "subdivided_claw"
-CHECK_BUDGET = 500_000  # search nodes of one _component_colorable check
 
 
 class DecompositionError(GraphError):
@@ -105,7 +104,6 @@ def _shape(g: Graph, edges: tuple[int, ...]):
 @dataclass(frozen=True)
 class Decomposition:
     elements: tuple[Element, ...]
-    host: Graph
 
     def to_json(self) -> str:
         return json.dumps(
@@ -121,7 +119,7 @@ class Decomposition:
             raise GraphError(f"bad decomposition JSON: {exc}") from exc
         if sorted(e for edges in items for e in edges) != list(range(g.m)):
             raise GraphError(f"elements do not partition the edges 0..{g.m - 1}")
-        return Decomposition(tuple(Element.from_edges(g, edges) for edges in items), g)
+        return Decomposition(tuple(Element.from_edges(g, edges) for edges in items))
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,7 @@ def _decompose(g: Graph, build_odd) -> Decomposition:
     elements: list[Element] = []
     for comp in _edge_components(g, range(g.m)):
         elements.extend(build_odd(g, comp) if len(comp) % 2 else _pair_component(g, comp))
-    return Decomposition(tuple(sorted(elements, key=attrgetter("edges"))), g)
+    return Decomposition(tuple(sorted(elements, key=attrgetter("edges"))))
 
 
 def _reject_odd_component(g: Graph, comp: list[int]) -> list[Element]:
@@ -283,20 +281,12 @@ def _component_colorable(g: Graph, elements: list[Element]) -> bool:
     irregular, with same-colored incident elements meeting only at vertices
     central for one of them?
 
-    The search branches over the elements in ``solver.in_edge_order``, the
-    vertex-completion order of every exact search.  It is budgeted
-    (``CHECK_BUDGET``): an overrun counts as colorable.  Without an
-    overrun the answer does not depend on the order."""
-    from .solver import _Budget, central_pair_ok, in_edge_order, search_groups
+    The subcubic colorer's routine decides on the subcubic component graph
+    ``g``, counting into a throwaway ``SubcubicStats``: its loop proves a
+    yes, and the exhaustive search decides where the loop fails."""
+    from .constructive import SubcubicStats, _color_elements
 
-    els = in_edge_order(g, elements)
-    try:
-        assignment, _ = search_groups(
-            g, [el.edges for el in els], 4, pair_ok=central_pair_ok(els), node_budget=CHECK_BUDGET
-        )
-    except _Budget:
-        return True
-    return assignment is not None
+    return _color_elements(g, Decomposition(tuple(elements)), SubcubicStats()) is not None
 
 
 def _two_path_partitions(g: Graph, unused: list[int]):
@@ -350,7 +340,10 @@ def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
     only when unavoidable (the strong-pertinence certificate).  Among the
     shape-valid candidates of the admissible claw kind, the first whose
     elements admit a 4-color element-uniform coloring wins; not every
-    pertinent decomposition does, so shape alone is not enough.
+    pertinent decomposition does, so shape alone is not enough.  Only
+    ``color_subcubic_4`` needs that coloring, so a component of maximum
+    degree above 3, where the exact check can take exponential time, keeps
+    its first candidate unchecked.
     """
     h = _component_graph(g, comp)
     for placements in (_claw_placements, _subdivided_claw_placements):
@@ -360,7 +353,8 @@ def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
             continue
         # when every placement of this claw kind is refutable, keep the first
         # shape anyway (strong pertinence fixes the claw kind, not the coloring)
-        chosen = next((c for c in chain([first], candidates) if _component_colorable(h, c)), first)
+        colorable = (c for c in chain([first], candidates) if _component_colorable(h, c))
+        chosen = next(colorable, first) if max(h.degrees) <= 3 else first
         return [Element.from_edges(g, [comp[e] for e in el.edges]) for el in chosen]
     raise DecompositionError(
         "no pertinent decomposition exists for an odd component; input is likely not decomposable"
@@ -436,4 +430,4 @@ def enumerate_two_path_decompositions(g: Graph):
 
     for pairs in _two_path_partitions(g, list(range(g.m))):
         els = tuple(Element.from_edges(g, pr) for pr in pairs)
-        yield Decomposition(els, g)
+        yield Decomposition(els)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graph import Graph, GraphError, json_int
 
@@ -21,10 +20,6 @@ class EdgeColoring:
         for e, c in enumerate(self.colors):
             if not (1 <= c <= self.k):
                 raise GraphError(f"edge {e} has color {c} outside 1..{self.k}")
-
-    @cached_property
-    def used(self) -> frozenset[int]:
-        return frozenset(self.colors)
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "colors": list(self.colors)})

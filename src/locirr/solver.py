@@ -20,9 +20,9 @@ check undoes its counts in place.  Every search branches in
 ``edge_order``, a greedy vertex-completion order (maximum cardinality
 search, ties to the vertex with the fewest edges left), so vertices become
 complete early and closure cuts a bad branch soon after it is made;
-searches over decomposition elements, the decomposer's colorability check
-included, take the elements in ``in_edge_order``, by their first edge in
-that order.  The parity and proper edge-coloring searches in
+searches over decomposition elements, the subcubic colorer's exhaustive
+fallback included, take the elements in ``in_edge_order``, by their first
+edge in that order.  The parity and proper edge-coloring searches in
 ``constructive`` use the engine with their own hooks.  ``chi_irr`` searches
 up to floor(m/2) colors, the bound past which no coloring can exist, unless
 given a smaller ``k_max``.  A node budget given to ``chi_irr`` or

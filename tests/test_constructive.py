@@ -481,7 +481,7 @@ class TestSubcubic4:
             (7, 9), (4, 9), (1, 5), (2, 11), (0, 3), (6, 10), (3, 7), (2, 10),
         ))
         pairs = ((0, 2), (1, 4), (3, 5), (6, 10), (7, 13), (8, 9), (11, 15), (12, 14))
-        d = Decomposition(tuple(Element.from_edges(g, pr) for pr in pairs), g)
+        d = Decomposition(tuple(Element.from_edges(g, pr) for pr in pairs))
         stats = SubcubicStats()
         trace: list[str] = []
         col = color_subcubic_4(g, d, stats=stats, trace=trace)
@@ -493,6 +493,29 @@ class TestSubcubic4:
             "free-color 4 for element 7",
             "free-color 1 for element 3",
             "recolor element 1 -> 4",
+        ]
+
+    def test_fallback_colors_what_the_loop_cannot(self):
+        # a strongly pertinent decomposition where the fourth 2-path to be
+        # reinstated finds no free color and no single recoloring frees one:
+        # the exhaustive element-uniform search colors the graph instead
+        g = Graph(10, (
+            (0, 1), (0, 2), (0, 8), (1, 3), (1, 7), (2, 4), (2, 9),
+            (3, 5), (3, 9), (4, 6), (5, 8), (7, 8), (7, 9),
+        ))
+        parts = ((0, 3), (1, 2), (4, 11, 12), (5, 9), (6, 8), (7, 10))
+        d = Decomposition(tuple(Element.from_edges(g, p) for p in parts))
+        stats = SubcubicStats()
+        trace: list[str] = []
+        col = color_subcubic_4(g, d, stats=stats, trace=trace)
+        assert verify_coloring(g, col).valid and element_properties_ok(g, d, col)[0]
+        assert (stats.fallbacks, col.k) == (1, 4)
+        assert trace == [
+            "base case on 1 elements",
+            "free-color 2 for element 4",
+            "free-color 3 for element 5",
+            "free-color 4 for element 0",
+            "fallback: exhaustive element-uniform search",
         ]
 
     def test_base_case_on_many_claws(self):

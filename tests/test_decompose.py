@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 import oracles
-from locirr import solver
+from locirr import constructive, solver
 from locirr.decompose import (
     CLAW,
     SUBDIVIDED_CLAW,
@@ -198,27 +198,25 @@ class TestValidate:
     def test_wrong_shape(self):
         g = cycle_graph(4)
         bogus = Element(TWO_PATH, (0, 1, 2, 3), (0,), (1, 2, 3))
-        report = validate_decomposition(g, Decomposition((bogus,), g))
+        report = validate_decomposition(g, Decomposition((bogus,)))
         assert not report.valid
 
     def test_partition_failure(self):
         g = cycle_graph(4)
         el = Element.from_edges(g, (0, 1))
-        report = validate_decomposition(g, Decomposition((el,), g))
+        report = validate_decomposition(g, Decomposition((el,)))
         assert not report.valid
         assert any("partition" in f for f in report.failures)
 
     def test_mislabeled_roles(self):
         g = path_graph(2)
         bogus = Element(TWO_PATH, (0, 1), (0,), (1, 2))
-        report = validate_decomposition(g, Decomposition((bogus,), g))
+        report = validate_decomposition(g, Decomposition((bogus,)))
         assert not report.valid
 
     def test_two_claws_in_one_component(self):
         g = Graph(7, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)))
-        d = Decomposition(
-            (Element.from_edges(g, (0, 1, 2)), Element.from_edges(g, (3, 4, 5))), g
-        )
+        d = Decomposition((Element.from_edges(g, (0, 1, 2)), Element.from_edges(g, (3, 4, 5))))
         assert validate_decomposition(g, d, "any").valid
         assert not validate_decomposition(g, d, "pertinent").valid
 
@@ -226,13 +224,7 @@ class TestValidate:
         # a plain claw at vertex 0 leaves an even residual, so the pertinent
         # decomposition built around a K_{1,3}'' at vertex 3 is not strong
         g = Graph(8, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (4, 6), (5, 7)))
-        d = Decomposition(
-            (
-                Element.from_edges(g, (2, 3, 4, 5, 6)),
-                Element.from_edges(g, (0, 1)),
-            ),
-            g,
-        )
+        d = Decomposition((Element.from_edges(g, (2, 3, 4, 5, 6)), Element.from_edges(g, (0, 1))))
         assert validate_decomposition(g, d, "pertinent").valid
         report = validate_decomposition(g, d, "strongly_pertinent")
         assert not report.valid
@@ -326,20 +318,61 @@ class TestColorabilityCheck:
         assert checked == 12_005
 
     def test_odd_component_is_checked(self, monkeypatch):
-        calls = []
-        search = solver.search_groups
+        # the loop fails once, on the trap candidate, which the exhaustive
+        # search then refutes; the loop colors the second candidate
+        loops, searches = [], []
+        color, search = constructive._color_elements, constructive.element_uniform_search
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[1]))
-            return search(*args, **kwargs)
+        def looped(*args, **kwargs):
+            col = color(*args, **kwargs)
+            loops.append(col is not None)
+            return col
 
-        monkeypatch.setattr(solver, "search_groups", counted)
+        def searched(*args, **kwargs):
+            res = search(*args, **kwargs)
+            searches.append(res.status)
+            return res
+
+        monkeypatch.setattr(constructive, "_color_elements", looped)
+        monkeypatch.setattr(constructive, "element_uniform_search", searched)
         strongly_pertinent_decomposition(CLAW_TRAP)
-        assert len(calls) >= 2  # the first claw candidate is refuted
+        assert loops == [False, True]
+        assert searches == [solver.REFUTED]
 
-    @pytest.mark.parametrize("n, seed", [(n, s) for n in (128, 256) for s in range(5)])
-    def test_random_cubic_within_budget(self, n, seed, monkeypatch):
-        calls, overruns = [], []
+    def test_higher_degree_component_keeps_its_first_candidate(self, monkeypatch):
+        # only color_subcubic_4 needs the coloring, and it takes subcubic
+        # graphs only; on this 5-regular graph an exact check ran past 20 s
+        checks = []
+        monkeypatch.setattr(constructive, "_color_elements", lambda *args: checks.append(args))
+        h = nx.random_regular_graph(5, 22, seed=2)
+        g = Graph(22, tuple(h.edges()))
+        assert g.m % 2 and g.is_connected()
+        d = strongly_pertinent_decomposition(g)
+        assert validate_decomposition(g, d, "strongly_pertinent").valid
+        assert not checks
+        first = next(_claw_candidates(g, _claw_placements))
+        assert [el.edges for el in d.elements] == sorted(el.edges for el in first)
+
+    @pytest.mark.parametrize(
+        "n, seed, order",
+        [
+            *(pytest.param(n, s, "networkx", id=f"{n}-{s}") for n in (128, 256) for s in range(5)),
+            # every graph on which the old budgeted check overran, in each
+            # edge order it overran in
+            *(
+                pytest.param(n, s, order, id=f"{n}-{s}-{order}")
+                for order, cases in (
+                    ("networkx", ((514, 3), (1026, 4), (1026, 8), (1026, 9))),
+                    ("sorted", ((514, 2), (514, 3), (1026, 0), (1026, 3), (1026, 8), (1026, 9))),
+                )
+                for n, s in cases
+            ),
+        ],
+    )
+    def test_random_cubic_within_budget(self, n, seed, order, monkeypatch):
+        # the loop decides every candidate: no exhaustive search runs, and
+        # no search of any kind runs out of nodes
+        calls, overruns, exhaustive = [], [], []
         search = solver.search_groups
 
         def counted(*args, **kwargs):
@@ -351,11 +384,18 @@ class TestColorabilityCheck:
                 raise
 
         monkeypatch.setattr(solver, "search_groups", counted)
+        monkeypatch.setattr(constructive, "search_groups", counted)
+        monkeypatch.setattr(
+            constructive, "element_uniform_search", lambda *args, **kw: exhaustive.append(args)
+        )
         h = nx.random_regular_graph(3, n, seed=seed)
         g = Graph(n, tuple(h.edges()))
+        if order == "sorted":
+            g = Graph(n, tuple(sorted(g.edges)))
         d = strongly_pertinent_decomposition(g)
         assert validate_decomposition(g, d, "strongly_pertinent").valid
         assert not overruns
+        assert not exhaustive
         if all(len(c) % 2 == 0 for c in _edge_components(g, range(g.m))):
             assert not calls
 
@@ -387,13 +427,13 @@ def test_each_check_searches_its_own_component(monkeypatch):
     # the check's graph holds exactly the component's edges: 3 for each of
     # the claws, 21 for the odd random cubic component after them
     sizes = []
-    search = solver.search_groups
+    color = constructive._color_elements
 
     def counted(g, *args, **kwargs):
         sizes.append(g.m)
-        return search(g, *args, **kwargs)
+        return color(g, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "search_groups", counted)
+    monkeypatch.setattr(constructive, "_color_elements", counted)
     k = 50
     h = nx.random_regular_graph(3, 14, seed=1)
     assert nx.is_connected(h)
