@@ -28,10 +28,8 @@ from .solver import (
     _search_levels,
     backtrack,
     _pair_rule,
-    central_pair_ok,
     edge_order,
     element_uniform_search,
-    search_groups,
     shared_vertices,
 )
 
@@ -431,9 +429,12 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
     With other_side size different from 3 a vertex-parity coloring (0 on the
     even side, 1 elsewhere) is locally irregular outright, since every edge
     then joins an even count to an odd one.  With exactly 3 vertices on the
-    other side, the graph is the full subdivision of a multigraph on those
-    vertices; the subdivision colorer finishes, except when that multigraph
-    is a triangle (g is then a 6-cycle) and the run pattern is used instead.
+    other side, every even-side vertex that has an edge must have exactly 2
+    edges, to 2 distinct neighbors; this always holds in a simple graph,
+    and a multigraph that breaks it raises GraphError.  The graph is then
+    the full subdivision of a multigraph on the 3 other-side vertices; the
+    subdivision colorer finishes, except when that multigraph is a triangle
+    (g is then a 6-cycle) and the run pattern is used instead.
     """
     bad = b.violations(g)
     if bad:
@@ -446,8 +447,7 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
     if len(others) != 3:
         sig = tuple(0 if v in b.even_side else 1 for v in range(g.n))
         return _verified(g, vertex_parity_color(ParityPair(g, sig), 4), "parity coloring")
-    # every even-side vertex has even degree with at most 3 possible
-    # neighbors, hence degree exactly 2: g fully subdivides a multigraph H
+    # g fully subdivides a multigraph H on the other side
     idx = {v: i for i, v in enumerate(others)}
     base_edges = []
     owners = []
@@ -455,8 +455,11 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
         nb = g.neighbors(w)
         if not nb:
             continue
-        if len(nb) != 2:
-            raise GraphError(f"even-side vertex {w} has degree {g.degrees[w]}, expected 2")
+        if g.degrees[w] != 2 or len(nb) != 2:
+            raise GraphError(
+                f"even-side vertex {w} has {g.degrees[w]} edges to {len(nb)} distinct"
+                " neighbors; with 3 other-side vertices it needs 2 edges to 2"
+            )
         base_edges.append((idx[nb[0]], idx[nb[1]]))
         owners.append(w)
     h = Graph(3, tuple(base_edges), multigraph=True)
@@ -560,17 +563,20 @@ def _color_elements(
     until the base case applies (at most 4 edges or no 2-path left) or the
     endgame does: when every remaining element is a 2-path centered at a
     vertex of remaining degree 2, a proper coloring of the contracted base
-    colors them all at once.  The base case searches the remaining elements
-    exactly, and is linear in their number: at most 4 edges is at most 2
-    elements, and with no 2-path left only claw-type elements remain, at
-    most one per edge component of a pertinent decomposition, so they are
-    pairwise vertex-disjoint and each takes color 1 on the first try.
-    Reinstating then brings the peeled 2-paths back in reverse order, each
-    by the first of two rules that applies: a color free of its
+    colors them all at once.  The base case colors the remaining elements by
+    first fit, in index order, and cannot fail.  At most 4 edges with a
+    2-path left is one or two 2-paths: the first takes color 1, the second
+    color 1 or else 2, since a 2-path alone in its class is locally
+    irregular and clashes with nothing.  With no 2-path left only claw-type
+    elements remain, at most one per edge component of a pertinent
+    decomposition, so they are pairwise vertex-disjoint and each takes
+    color 1.  Reinstating then brings the peeled 2-paths back in reverse
+    order, each by the first of two rules that applies: a color free of its
     neighborhood, or recoloring one incident element.  Every rule checks
     local irregularity and the central pair rule only at the vertices of
-    the elements it changed.  Any failure goes to the exhaustive
-    element-uniform search, counted in ``stats``, which decides.
+    the elements it changed.  When a 2-path cannot be reinstated, the
+    exhaustive element-uniform search, counted in ``stats``, decides: the
+    only element search this routine runs.
     """
     els = d.elements
     table = shared_vertices(els)  # the one pair table of this coloring
@@ -653,18 +659,16 @@ def _color_elements(
     heap = [conf[i] * paths + rank[i] for i in by_rank]
     heapq.heapify(heap)
 
-    def base_case(rest) -> bool:
-        sel = [els[i] for i in rest]
-        assignment, _ = search_groups(
-            g, [el.edges for el in sel], 4, pair_ok=central_pair_ok(sel)
-        )
-        if assignment is None:
-            return False
-        for i, c in zip(rest, assignment):
-            paint(i, c)
+    def base_case(rest):
+        # nothing else is colored yet, so each element's first fit is judged
+        # against the earlier ones alone, and color 2 at the latest fits
+        for i in rest:
+            for c in range(1, 5):
+                paint(i, c)
+                if fits([i]):
+                    break
         stats.base_cases += 1
         log("base case on %d elements", len(rest))
-        return True
 
     def endgame(rest) -> bool:
         base_verts = sorted({v for i in rest for v in els[i].pendant_vertices})
@@ -684,11 +688,9 @@ def _color_elements(
         return True
 
     peeled = []
-    done = True  # cleared when a phase fails
     while left_edges:
         if left_edges <= 4 or not left_paths:
-            rest = [i for i in range(len(els)) if active[i]]
-            done = base_case(rest)
+            base_case([i for i in range(len(els)) if active[i]])
             break
         if not blocking and endgame([i for i in range(len(els)) if active[i]]):
             break
@@ -748,7 +750,7 @@ def _color_elements(
             paint(j, old)
         return False
 
-    if done and all(map(reinstate, reversed(peeled))):
+    if all(map(reinstate, reversed(peeled))):
         col = EdgeColoring(tuple(color[i] for i in el_of), max(color, default=0))
     else:
         stats.fallbacks += 1

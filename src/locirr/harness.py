@@ -288,8 +288,6 @@ def find_tree_needing_3(max_edges: int = 10) -> TreeSearchReport:
                     raise GraphError(f"tree {write_graph6(t)} of index 3 not refuted at 2 (bug)")
                 witness = t
                 refut_nodes = recheck.nodes
-        if witness is not None and m >= max_edges:
-            break
     if witness is None:
         raise GraphError(f"no tree with chromatic index 3 within {max_edges} edges")
     return TreeSearchReport(witness, 3, refut_nodes, scanned, delta5_ok)

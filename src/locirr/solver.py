@@ -9,14 +9,14 @@ the count with an int cap, ``sys.maxsize`` when there is no budget.
 ``search_groups`` puts the locally irregular coloring search on top of it:
 positions are *groups* of edges (single edges for chi_irr, whole
 decomposition elements for element-uniform search, vertex bundles for the
-balanced-forest colorer, edge halves for the subdivision colorer).  Pruning
-is by closure: once every active edge at both endpoints of an edge is
-colored, the equal-degree test for that edge is final and can cut the
-branch.  The position that completes a vertex depends only on the group
-order, so ``search_groups`` fixes each edge's test at one position when the
-search is built, in the same pass that lists each position's edges, and a
-placement checks only the edges listed there; a placement that fails a
-check undoes its counts in place.  Every search branches in
+balanced-forest colorer).  Pruning is by closure: once every active edge at
+both endpoints of an edge is colored, the equal-degree test for that edge is
+final and can cut the branch.  The position that completes a vertex depends
+only on the group order, so ``search_groups`` fixes each edge's test at one
+position when the search is built, in the same pass that lists each
+position's edges, and a placement checks only the edges listed there; a
+placement that fails a check undoes its counts in place.  Every search
+branches in
 ``edge_order``, a greedy vertex-completion order (maximum cardinality
 search, ties to the vertex with the fewest edges left), so vertices become
 complete early and closure cuts a bad branch soon after it is made;
@@ -25,8 +25,8 @@ fallback included, take the elements in ``in_edge_order``, by their first
 edge in that order.  The parity and proper edge-coloring searches in
 ``constructive`` use the engine with their own hooks.  ``chi_irr`` searches
 up to floor(m/2) colors, the bound past which no coloring can exist, unless
-given a smaller ``k_max``.  A node budget given to ``chi_irr`` or
-``element_uniform_search`` covers the whole call, all k together.
+given a smaller ``k_max``.  A node budget given to ``chi_irr`` covers the
+whole call, all k together.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import sys
 import time
 from dataclasses import dataclass
 
+from .decompose import validate_decomposition
 from .graph import Graph, GraphError
 from .irregularity import EdgeColoring, verify_coloring
 
@@ -343,25 +344,17 @@ def is_decomposable(g: Graph, node_budget: int | None = None) -> Decomposability
 
 
 def element_uniform_search(
-    g: Graph,
-    d,
-    k_max: int,
-    enforce_property_ii: bool = True,
-    node_budget: int | None = None,
+    g: Graph, d, k_max: int, enforce_property_ii: bool = True
 ) -> SolveResult:
     """Search colorings constant on each decomposition element.
 
     With ``enforce_property_ii``, two incident elements may share a color only
-    if every vertex they share is central for one of them.  ``node_budget``
-    bounds the nodes of the whole call.
+    if every vertex they share is central for one of them.
     """
-    from .decompose import validate_decomposition
-
-    check_budget(node_budget)
     report = validate_decomposition(g, d, mode="any")
     if not report.valid:
         raise GraphError(f"invalid decomposition: {report.failures[0]}")
     els = in_edge_order(g, d.elements)
     groups = [el.edges for el in els]
     pair_ok = central_pair_ok(els) if enforce_property_ii else None
-    return _search_levels(g, groups, k_max, pair_ok, node_budget, REFUTED)
+    return _search_levels(g, groups, k_max, pair_ok, None, REFUTED)

@@ -346,6 +346,28 @@ class TestBalanced4:
                 cycle_graph(4), Bipartition(frozenset({0, 1}), frozenset({2, 3}))
             )
 
+    @pytest.mark.parametrize(
+        "edges, cause",
+        [
+            pytest.param(
+                ((3, 0), (3, 0), (4, 0), (4, 1), (5, 1), (5, 2)),
+                "vertex 3 has 2 edges to 1 distinct",
+                id="both-edges-to-one-vertex",
+            ),
+            pytest.param(
+                ((3, 0), (3, 0), (3, 1), (3, 1), (4, 1), (4, 2), (5, 2), (5, 0)),
+                "vertex 3 has 4 edges to 2 distinct",
+                id="two-parallel-pairs",
+            ),
+        ],
+    )
+    def test_multigraph_off_the_subdivision_route_rejected(self, edges, cause):
+        # with 3 other-side vertices each even-side vertex needs 2 edges to
+        # 2 distinct neighbors, which parallel edges break
+        g = Graph(6, edges, multigraph=True)
+        with pytest.raises(GraphError, match=cause):
+            color_balanced_4(g, Bipartition(frozenset({3, 4, 5}), frozenset({0, 1, 2})))
+
 
 def cubic_union(copies: int, n: int) -> Graph:
     """Disjoint union of random cubic graphs on n vertices, with seeds
@@ -518,12 +540,22 @@ class TestSubcubic4:
             "fallback: exhaustive element-uniform search",
         ]
 
-    def test_base_case_on_many_claws(self):
+    def test_base_case_on_many_claws(self, monkeypatch):
         # 9 odd-size components leave 9 disjoint claws for the base case,
-        # which colors them all without the exhaustive fallback
+        # which colors them all by first fit: neither the decomposer's check
+        # nor the colorer runs an element search
+        searches = []
+        backtrack = solver.backtrack
+
+        def counted(*args, **kwargs):
+            searches.append(args[0])  # positions searched
+            return backtrack(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "backtrack", counted)
         g = cubic_union(9, 14)
         _, stats = self.run(g)
         assert (stats.base_cases, stats.fallbacks) == (1, 0)
+        assert not searches
 
     def test_many_odd_components_at_ten_thousand_edges(self):
         assert sys.getrecursionlimit() <= 1000

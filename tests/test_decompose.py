@@ -21,7 +21,6 @@ from locirr.decompose import (
     _claw_candidates,
     _claw_placements,
     _component_colorable,
-    _edge_components,
     _subdivided_claw_placements,
     _two_path_partitions,
     validate_decomposition,
@@ -370,21 +369,16 @@ class TestColorabilityCheck:
         ],
     )
     def test_random_cubic_within_budget(self, n, seed, order, monkeypatch):
-        # the loop decides every candidate: no exhaustive search runs, and
-        # no search of any kind runs out of nodes
-        calls, overruns, exhaustive = [], [], []
-        search = solver.search_groups
+        # the loop decides every candidate, its base case by first fit: the
+        # engine runs no search at all, exhaustive or otherwise
+        searches, exhaustive = [], []
+        backtrack = solver.backtrack
 
         def counted(*args, **kwargs):
-            calls.append(len(args[1]))  # elements searched
-            try:
-                return search(*args, **kwargs)
-            except solver._Budget:
-                overruns.append(len(args[1]))
-                raise
+            searches.append(args[0])  # positions searched
+            return backtrack(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "search_groups", counted)
-        monkeypatch.setattr(constructive, "search_groups", counted)
+        monkeypatch.setattr(solver, "backtrack", counted)
         monkeypatch.setattr(
             constructive, "element_uniform_search", lambda *args, **kw: exhaustive.append(args)
         )
@@ -394,10 +388,8 @@ class TestColorabilityCheck:
             g = Graph(n, tuple(sorted(g.edges)))
         d = strongly_pertinent_decomposition(g)
         assert validate_decomposition(g, d, "strongly_pertinent").valid
-        assert not overruns
         assert not exhaustive
-        if all(len(c) % 2 == 0 for c in _edge_components(g, range(g.m))):
-            assert not calls
+        assert not searches
 
 
 def test_decompose_at_ten_thousand_edges():

@@ -376,13 +376,6 @@ class TestElementUniform:
         assert strict.status == COLORED and loose.status == COLORED
         assert loose.k == 1 and strict.k == 2
 
-    def test_negative_budget_rejected(self):
-        g = cycle_graph(4)
-        d = two_path_decomposition(g)
-        with pytest.raises(GraphError):
-            element_uniform_search(g, d, 2, node_budget=-1)
-        assert element_uniform_search(g, d, 2, node_budget=0).status == EXCEEDED_BUDGET
-
     def test_invalid_decomposition_rejected(self):
         g = cycle_graph(4)
         el = Element.from_edges(g, (0, 1))
