@@ -441,8 +441,6 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
         raise GraphError(f"not a balanced bipartition: {bad[0]}")
     if not g.is_connected():
         raise GraphError("color_balanced_4 expects a connected graph")
-    if g.m == 0:
-        return EdgeColoring((), 0)
     others = sorted(b.other_side)
     if len(others) != 3:
         sig = tuple(0 if v in b.even_side else 1 for v in range(g.n))
@@ -466,16 +464,13 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
     if h.is_cycle() and h.m % 2:
         return _cycle_run_coloring(g)
     col_s = color_fully_subdivided_2(h)
-    gid = {}
-    for e, (u, v) in enumerate(g.edges):
-        gid[(u, v)] = e
     colors = [0] * g.m
-    for e, (a, c) in enumerate(h.edges):
-        w = owners[e]
-        ea = gid[tuple(sorted((w, others[a])))]
-        ec = gid[tuple(sorted((w, others[c])))]
-        colors[ea] = col_s.colors[2 * e]
-        colors[ec] = col_s.colors[2 * e + 1]
+    for e, w in enumerate(owners):
+        # half 2e of h's edge e sits at others[h.edges[e][0]], half 2e + 1
+        # at the other end; w's two edges go to those two vertices
+        first = others[h.edges[e][0]]
+        for f, u in g.incidence[w]:
+            colors[f] = col_s.colors[2 * e + (u != first)]
     return _verified(g, EdgeColoring(tuple(colors), col_s.k), "subdivision route")
 
 
@@ -501,23 +496,23 @@ class SubcubicStats:
     fallbacks: int = 0
 
 
-def _element_failures(els, table, colors) -> list[str]:
-    """The failures ``element_properties_ok`` reports, with the pair table
-    ``shared_vertices(els)`` given."""
+def _element_failures(els, rule, colors) -> list[str]:
+    """The failures ``element_properties_ok`` reports, given ``rule``, the
+    pair rule ``_pair_rule(els, shared_vertices(els))``: each element that
+    is not monochromatic, then each vertex of ``rule`` at which two
+    same-colored elements meet, pairs and vertices ascending."""
     failures = []
     for el in els:
         cs = {colors[e] for e in el.edges}
         if len(cs) != 1:
             failures.append(f"element {el.edges} is not monochromatic: colors {sorted(cs)}")
-    for (i, j), shared in table.items():
+    for (i, j), bad in rule.items():
         a, b = els[i], els[j]
         if colors[a.edges[0]] == colors[b.edges[0]]:
-            for v in shared:
-                if v not in a.central_vertices and v not in b.central_vertices:
-                    failures.append(
-                        f"same-colored elements {a.edges} and {b.edges}"
-                        f" meet at non-central vertex {v}"
-                    )
+            for v in bad:
+                failures.append(
+                    f"same-colored elements {a.edges} and {b.edges} meet at non-central vertex {v}"
+                )
     return failures
 
 
@@ -526,7 +521,8 @@ def element_properties_ok(
 ) -> tuple[bool, tuple[str, ...]]:
     """Check element-uniformity and the central-incidence rule: two incident
     elements of the same color may only meet at vertices central for one."""
-    failures = _element_failures(d.elements, shared_vertices(d.elements), col.colors)
+    els = d.elements
+    failures = _element_failures(els, _pair_rule(els, shared_vertices(els)), col.colors)
     return (not failures, tuple(failures))
 
 
@@ -579,13 +575,13 @@ def _color_elements(
     only element search this routine runs.
     """
     els = d.elements
-    table = shared_vertices(els)  # the one pair table of this coloring
+    rule = _pair_rule(els, shared_vertices(els))  # the one pair rule table of this coloring
     near: list[list[int]] = [[] for _ in els]  # incident elements, ascending
     clash: list[list[int]] = [[] for _ in els]  # incident, may not share a color
-    for (i, j), ok in _pair_rule(els, table).items():
+    for (i, j), bad in rule.items():
         near[i].append(j)
         near[j].append(i)
-        if not ok:
+        if bad:
             clash[i].append(j)
             clash[j].append(i)
     # per-element arrays: vertices, edges, edge ends, 2-path flag, first center
@@ -615,21 +611,20 @@ def _color_elements(
             cv[old] -= 1
             cv[c] += 1
 
-    def fits(group) -> bool:
-        """Whether the coloring, valid before the elements of ``group`` were
-        repainted, is still valid: only the edges at their vertices and the
-        pairs they belong to can have broken."""
-        for i in group:
-            ci = color[i]
-            for j in clash[i]:
-                if color[j] == ci:
+    def fits(i) -> bool:
+        """Whether the coloring, valid before element ``i`` was repainted,
+        is still valid: only the pairs with ``i`` under the central pair
+        rule and the edges at ``i``'s vertices can have broken."""
+        ci = color[i]
+        for j in clash[i]:
+            if color[j] == ci:
+                return False
+        for v in verts[i]:
+            cv = cnt[v]
+            for e, w in inc[v]:
+                c = color[el_of[e]]
+                if c and cv[c] == cnt[w][c]:
                     return False
-            for v in verts[i]:
-                cv = cnt[v]
-                for e, w in inc[v]:
-                    c = color[el_of[e]]
-                    if c and cv[c] == cnt[w][c]:
-                        return False
         return True
 
     # -- peel ----------------------------------------------------------------
@@ -665,7 +660,7 @@ def _color_elements(
         for i in rest:
             for c in range(1, 5):
                 paint(i, c)
-                if fits([i]):
+                if fits(i):
                     break
         stats.base_cases += 1
         log("base case on %d elements", len(rest))
@@ -725,10 +720,9 @@ def _color_elements(
             taken[color[j]] = True
         for c in range(1, 5):
             if not taken[c]:
-                paint(p, c)
                 # an element with no same-colored incident element is alone
-                # in its class around its own vertices, hence safe
-                assert fits([p])
+                # in its class around its own vertices, hence fits
+                paint(p, c)
                 stats.free_color += 1
                 log("free-color %d for element %d", c, p)
                 return True
@@ -743,7 +737,7 @@ def _color_elements(
             for c in range(1, 5):
                 if c != old:
                     paint(j, c)
-                    if fits([j]) and place(p):
+                    if fits(j) and place(p):
                         stats.recolor += 1
                         log("recolor element %d -> %d", j, c)
                         return True
@@ -759,7 +753,7 @@ def _color_elements(
         if col is None:
             return None
     _verified(g, col, "subcubic coloring")
-    failures = _element_failures(els, table, col.colors)
+    failures = _element_failures(els, rule, col.colors)
     if failures:
         raise GraphError(f"subcubic coloring broke an element property: {failures[0]} (bug)")
     return col

@@ -180,9 +180,10 @@ def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
     Rooted spanning tree, vertices processed in reverse BFS order; each vertex
     pairs its unused edges locally, in ascending order, and pushes an odd
     leftover onto its parent tree edge.  Every pair meets at the vertex that
-    paired it, which is the 2-path's center.
+    paired it, which is the 2-path's center.  Only the root has no parent
+    edge to take a leftover, and it has one exactly when the edge count is
+    odd, so an even connected edge set is paired completely.
     """
-    assert len(comp) % 2 == 0
     inc = g.incidence  # each row ascending; ``left`` restricts it to comp
     # sets and dicts, not arrays over all edges and vertices: a graph with
     # many components calls this once per component
@@ -209,11 +210,11 @@ def _pair_component(g: Graph, comp: list[int]) -> list[Element]:
                     pairs.append((a, e, v))
                     a = None
         if a is not None:
-            assert pe is not None and pe in left
+            if pe is None:
+                raise GraphError(f"odd edge count {len(comp)} given to the 2-path pairing (bug)")
             left.remove(a)
             left.remove(pe)
             pairs.append((a, pe, v) if a < pe else (pe, a, v))
-    assert not left
     pairs.sort()
     return [Element(TWO_PATH, (a, b), *_two_path_roles(g, (a, b), v)) for a, b, v in pairs]
 

@@ -97,8 +97,6 @@ def _classify(g: Graph, bound: int, method: str, node_budget: int | None):
     """Classify one graph as (kind, colors used): kind 'skip' for a
     non-decomposable input, 'budget' when the node budget ran out, otherwise
     'ok' or 'exceeder'."""
-    if g.m == 0:
-        return ("ok", 0)
     if method == "exact":
         # one solve up to floor(m/2) colors finds the index even past the
         # bound, so the budget covers the graph's whole solve
@@ -330,7 +328,6 @@ def fig6_experiment() -> Fig6Report:
     """Scan 2-path decompositions of the subdivided cube for two witnesses:
     one refuting 3 element-uniform colors and one admitting 2."""
     g = fig6_instance()
-    assert g.n == 22 and g.m == 26
     refuted = None
     two_col = None
     scanned = 0

@@ -245,23 +245,20 @@ def shared_vertices(elements) -> dict[tuple[int, int], list[int]]:
 
 def central_pair_ok(elements) -> dict[tuple[int, int], bool]:
     """The central-vertex pair rule as ``pair_ok`` for ``search_groups`` over
-    decomposition elements, indexed in list order, keys ascending: two
-    incident elements may share a color only if every vertex they share is
-    central for one of them."""
-    return _pair_rule(elements, shared_vertices(elements))
+    decomposition elements, indexed in list order, keys ascending: the
+    boolean view of ``_pair_rule``."""
+    return {pair: not bad for pair, bad in _pair_rule(elements, shared_vertices(elements)).items()}
 
 
-def _pair_rule(elements, table) -> dict[tuple[int, int], bool]:
-    """``central_pair_ok`` read off the pair table ``shared_vertices(elements)``."""
+def _pair_rule(elements, table) -> dict[tuple[int, int], list[int]]:
+    """The central-vertex pair rule, read off the pair table
+    ``shared_vertices(elements)``: for each incident pair, the vertices it
+    shares that are central for neither element, ascending.  Two incident
+    elements may share a color only if that list is empty."""
     out = {}
-    for pair, vs in table.items():
-        ci, cj = elements[pair[0]].central_vertices, elements[pair[1]].central_vertices
-        ok = True
-        for v in vs:
-            if v not in ci and v not in cj:
-                ok = False
-                break
-        out[pair] = ok
+    for (i, j), vs in table.items():
+        ci, cj = elements[i].central_vertices, elements[j].central_vertices
+        out[(i, j)] = [v for v in vs if v not in ci and v not in cj]
     return out
 
 

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from locirr.cli import main
 from locirr.dot import export_dot
-from locirr.graph import Graph, complete_graph, cycle_graph, parse_graph6, write_graph6
+from locirr.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    parse_graph6,
+    path_graph,
+    write_graph6,
+)
 from locirr.irregularity import EdgeColoring
 
 C5 = write_graph6(cycle_graph(5))
@@ -135,6 +142,42 @@ class TestPipelines:
         spec = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "multigraph": False})
         code, out, _ = run(capsys, "color", spec, "--method", "subdivided2")
         assert code == 0 and EdgeColoring.from_json(out).k <= 2
+
+    @pytest.mark.parametrize(
+        "method, edges, even",
+        [
+            ("forest2", [[0, 1], [1, 2], [2, 3], [3, 4]], "1,3"),
+            ("balanced4", [[0, 1], [1, 2], [2, 3], [0, 3]], "0,2"),
+            # 3 other-side vertices: the subdivision route
+            (
+                "balanced4",
+                [[0, 3], [1, 3], [0, 4], [1, 4], [1, 5], [2, 5], [1, 6], [2, 6]],
+                "3,4,5,6",
+            ),
+        ],
+        ids=["forest2", "balanced4-parity", "balanced4-subdivision"],
+    )
+    def test_color_bipartite_methods_verify(self, capsys, method, edges, even):
+        spec = json.dumps({"n": 1 + max(max(e) for e in edges), "edges": edges})
+        code, out, _ = run(capsys, "color", spec, "--method", method, "--even-side", even)
+        assert code == 0
+        code, verdict, _ = run(capsys, "verify", spec, out)
+        assert (code, verdict) == (0, "valid\n")
+
+    def test_color_subcubic4_trace(self, capsys):
+        code, out, err = run(capsys, "color", "C~", "--method", "subcubic4", "--trace")
+        assert code == 0 and run(capsys, "verify", "C~", out)[:2] == (0, "valid\n")
+        lines = err.splitlines()
+        assert lines and all(line.startswith("# ") for line in lines)
+
+    def test_color_exact_budget_exhausted(self, capsys):
+        code, out, _ = run(capsys, "color", "C~", "--method", "exact", "--budget", "0")
+        assert (code, out) == (4, "budget-exhausted\n")
+
+    def test_color_subcubic4_odd_path(self, capsys):
+        # 3 edges and no vertex of degree 3: no claw-type element fits
+        code, out, _ = run(capsys, "color", write_graph6(path_graph(3)), "--method", "subcubic4")
+        assert code == 2 and out.startswith("no decomposition")
 
     def test_color_parity_needs_signature(self, capsys):
         code, _, err = run(capsys, "color", "C~", "--method", "parity")

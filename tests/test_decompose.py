@@ -21,6 +21,7 @@ from locirr.decompose import (
     _claw_candidates,
     _claw_placements,
     _component_colorable,
+    _pair_component,
     _subdivided_claw_placements,
     _two_path_partitions,
     validate_decomposition,
@@ -123,6 +124,11 @@ class TestTwoPath:
         with pytest.raises(DecompositionError) as exc:
             two_path_decomposition(cycle_graph(5))
         assert "odd size 5" in str(exc.value)
+
+    def test_pairing_refuses_an_odd_edge_count(self):
+        # every caller checks the parity first, so an odd count is a bug
+        with pytest.raises(GraphError, match=r"odd edge count 5 .*\(bug\)"):
+            _pair_component(cycle_graph(5), list(range(5)))
 
     def test_componentwise(self):
         g = Graph(7, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)))

@@ -150,6 +150,35 @@ class TestGraph6:
         with pytest.raises(GraphError):
             write_graph6(g)
 
+    @pytest.mark.parametrize("n", [63, 64, 300])
+    def test_four_byte_size_field(self, n):
+        # n >= 63 takes the size field "~" plus 3 bytes
+        h = nx.gnp_random_graph(n, 0.05, seed=n)
+        g = _from_nx(h)
+        text = write_graph6(g)
+        assert text.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
+        assert text[0] == "~" and parse_graph6(text) == g
+
+    def test_header(self):
+        assert parse_graph6(">>graph6<<C~") == complete_graph(4)
+        with pytest.raises(Graph6Error, match="unsupported header"):
+            parse_graph6(">>sparse6<<:Bc")
+
+    @pytest.mark.parametrize("text", ["~~", "~~?????", "~A"], ids=["8a", "8b", "4"])
+    def test_truncated_size_field(self, text):
+        with pytest.raises(Graph6Error, match="truncated size field"):
+            parse_graph6(text)
+
+    def test_eight_byte_size_field(self):
+        # "~~" plus 6 bytes; the writer never needs it, the reader takes it
+        assert parse_graph6("~~?????B_") == parse_graph6("B_") == Graph(3, ((0, 1),))
+
+    def test_writer_rejects_too_many_vertices(self):
+        # the 4-byte size field ends at 258047; the check comes before the
+        # n(n-1)/2 adjacency bits are built
+        with pytest.raises(GraphError, match="n=258048 beyond supported graph6 range"):
+            write_graph6(Graph(258048, ()))
+
     @given(graphs(n_max=12))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_random(self, g):

@@ -54,6 +54,12 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def assert_statements(source: str) -> list[str]:
+    """Every ``assert`` statement: ``python -O`` strips them, so a check the
+    library relies on must raise explicitly."""
+    return [f"line {n.lineno}" for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
 @pytest.mark.parametrize(
     "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
 )
@@ -88,3 +94,13 @@ def test_unreferenced_private_definition_is_caught():
         "a.py line 5: _Dead",
         "a.py line 7: _recursive",
     ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_assert_statement_is_caught():
+    source = "def f(x):\n    assert x\n    if x:\n        assert (x, 'why')\n    return 'assert'\n"
+    assert assert_statements(source) == ["line 2", "line 4"]

@@ -33,6 +33,7 @@ from locirr.solver import (
     NOT_DECOMPOSABLE,
     REFUTED,
     _Budget,
+    _pair_rule,
     backtrack,
     central_pair_ok,
     chi_irr,
@@ -406,6 +407,17 @@ class TestCentralPairOk:
             want = oracles.central_pair_ok_all_pairs(d.elements)
             assert list(got.items()) == list(want.items())
 
+    def test_pair_rule_lists_the_non_central_shared_vertices(self, small_decompositions):
+        # with one color on every edge, each non-central meeting of the
+        # reference is a same-colored one
+        for d in small_decompositions:
+            table = shared_vertices(d.elements)
+            rule = _pair_rule(d.elements, table)
+            assert list(rule) == list(table)
+            m = 1 + max((e for el in d.elements for e in el.edges), default=-1)
+            want = oracles.non_central_meetings(d.elements, [1] * m)
+            assert [(i, j, v) for (i, j), bad in rule.items() for v in bad] == want
+
 
 class TestSharedVertices:
     def test_matches_all_pairs_reference(self, small_decompositions):
@@ -422,4 +434,5 @@ class TestSharedVertices:
         g = cycle_graph(4)
         els = [Element.from_edges(g, (0, 1)), Element.from_edges(g, (2, 3))]
         assert shared_vertices(els) == {(0, 1): [0, 2]}
+        assert _pair_rule(els, shared_vertices(els)) == {(0, 1): [0, 2]}
         assert central_pair_ok(els) == {(0, 1): False}
