@@ -186,7 +186,7 @@ def color_balanced_forest_2(f: Graph, b: Bipartition) -> EdgeColoring:
     ]
     rank = {e: i for i, e in enumerate(edge_order(f))}
     bundles.sort(key=lambda grp: min(rank[e] for e in grp))
-    res = _search_levels(f, bundles, 2, None, None, REFUTED)
+    res = _search_levels(f, bundles, range(1, 3), None, None, REFUTED)
     if res.status != COLORED:
         raise GraphError("balanced forest refused a 2-color bundle coloring (bug)")
     return res.coloring

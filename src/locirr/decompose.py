@@ -162,12 +162,17 @@ def _edge_components(g: Graph, eids) -> list[list[int]]:
     return comps
 
 
+def _component_vertices(g: Graph, comp: list[int]) -> list[int]:
+    """The vertices of the edges ``comp``, ascending."""
+    return sorted({v for e in comp for v in g.edges[e]})
+
+
 def _component_graph(g: Graph, comp: list[int]) -> Graph:
     """The component with the ascending edges ``comp`` as a graph of its own,
     edge ``comp[j]`` as edge j, vertices renumbered in ascending order.  The
     decomposer's and the search's orders follow ids, which this keeps, so
     the component decides as it would inside ``g``, at its own size."""
-    verts = sorted({v for e in comp for v in g.edges[e]})
+    verts = _component_vertices(g, comp)
     index = {v: i for i, v in enumerate(verts)}
     edges = tuple((index[u], index[v]) for u, v in (g.edges[e] for e in comp))
     return Graph(len(verts), edges, g.multigraph)
@@ -232,8 +237,94 @@ def _decompose(g: Graph, build_odd) -> Decomposition:
 
 
 def _reject_odd_component(g: Graph, comp: list[int]) -> list[Element]:
-    verts = sorted({v for e in comp for v in g.edges[e]})
-    raise DecompositionError(f"component on vertices {verts} has odd size {len(comp)}")
+    raise DecompositionError(
+        f"component on vertices {_component_vertices(g, comp)} has odd size {len(comp)}"
+    )
+
+
+# -- decomposability ----------------------------------------------------------
+
+
+def non_decomposable_reason(g: Graph) -> str | None:
+    """Why ``g`` has no locally irregular decomposition: "odd path", "odd
+    cycle" or "member of T", for its first non-decomposable edge component
+    in vertex order; None when every simple component decomposes.
+
+    Baudon, Bensmail, Przybyło & Woźniak (European J. Combin. 49, 2015)
+    show that the connected non-decomposable graphs are the odd paths, the
+    odd cycles and the family T: a triangle, and any graph built from a
+    member of T by attaching, at a triangle vertex of degree 2, a path with
+    an even number of edges or an odd path that ends in a new triangle.  A
+    connected graph of maximum degree 3 is in T iff its triangles are
+    vertex-disjoint, it has n - 1 + #triangles edges, each degree-3 vertex
+    lies on a triangle, and each maximal path of non-triangle edges leaving
+    a triangle ends at a leaf after an even number of edges or at another
+    triangle after an odd number.  Each of these graphs has a vertex of
+    degree 1 or 2, so a graph with none is settled by one scan of its
+    degrees.  Iterative, O(n + m).
+
+    The theorem is for simple graphs, and the 2-cycle is not decomposable
+    either.  A component with parallel edges is never flagged: it is the
+    2-cycle, of even size, or it has a degree-3 vertex with a repeated
+    neighbor, which the rule for T rejects.  So the answer is sound on a
+    multigraph, and a None there leaves its components with parallel edges
+    to the search."""
+    deg = g.degrees
+    if 1 not in deg and 2 not in deg:
+        return None
+    inc = g.incidence
+    seen = bytearray(g.n)
+    for s in range(g.n):
+        if seen[s] or not deg[s]:
+            continue
+        seen[s] = 1
+        comp = [s]
+        for v in comp:  # grows while it is walked
+            for _, u in inc[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    comp.append(u)
+        top = max(deg[v] for v in comp)
+        size = sum(deg[v] for v in comp) // 2
+        if top <= 2 and size % 2:
+            return "odd path" if size < len(comp) else "odd cycle"
+        if top == 3 and _in_t(g, comp, size):
+            return "member of T"
+    return None
+
+
+def _in_t(g: Graph, comp: list[int], size: int) -> bool:
+    """Whether the connected component with vertices ``comp``, ``size``
+    edges and maximum degree 3 is in T, by the rule of
+    ``non_decomposable_reason``."""
+    if size > len(comp) - 1 + len(comp) // 3:
+        return False  # more cycles than vertex-disjoint triangles fit
+    deg, inc = g.degrees, g.incidence
+    nbrs = {v: [u for _, u in inc[v]] for v in comp}
+    on_triangle: dict[int, bool] = {}
+    off: list[tuple[int, int]] = []  # (degree-3 triangle vertex, its neighbor off the triangle)
+    for v in comp:
+        nb = nbrs[v]
+        # one adjacent pair of neighbors per triangle through v
+        pairs = [(a, b) for i, a in enumerate(nb) for b in nb[i + 1 :] if b in nbrs[a]]
+        if len(pairs) > 1 or (deg[v] == 3 and not pairs):
+            return False  # two triangles meet at v, or v has degree 3 off every triangle
+        on_triangle[v] = bool(pairs)
+        if pairs and deg[v] == 3:
+            off.append((v, next(u for u in nb if u not in pairs[0])))
+    if size != len(comp) - 1 + sum(on_triangle.values()) // 3:
+        return False  # a cycle that is not a triangle
+    for prev, u in off:
+        length = 1
+        while deg[u] == 2 and not on_triangle[u]:
+            a, b = nbrs[u]
+            prev, u = u, (b if a == prev else a)
+            length += 1
+        # the walk stops at a leaf, which needs an even length, or at a
+        # triangle, which needs an odd one
+        if length % 2 != on_triangle[u]:
+            return False
+    return True
 
 
 def two_path_decomposition(g: Graph) -> Decomposition:
@@ -337,16 +428,23 @@ def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
     """Decompose an odd-size component: one claw-type element plus 2-paths,
     chosen on the component's own graph and mapped back to ``g``'s ids.
 
-    Plain claws are tried before any subdivided claw, so K_{1,3}'' appears
-    only when unavoidable (the strong-pertinence certificate).  Among the
-    shape-valid candidates of the admissible claw kind, the first whose
-    elements admit a 4-color element-uniform coloring wins; not every
-    pertinent decomposition does, so shape alone is not enough.  Only
-    ``color_subcubic_4`` needs that coloring, so a component of maximum
-    degree above 3, where the exact check can take exponential time, keeps
-    its first candidate unchecked.
+    A component that ``non_decomposable_reason`` rejects has no
+    decomposition at all, so it raises DecompositionError naming the reason
+    before any claw is placed.  Plain claws are tried before any subdivided
+    claw, so K_{1,3}'' appears only when unavoidable (the strong-pertinence
+    certificate).  Among the shape-valid candidates of the admissible claw
+    kind, the first whose elements admit a 4-color element-uniform coloring
+    wins; not every pertinent decomposition does, so shape alone is not
+    enough.  Only ``color_subcubic_4`` needs that coloring, so a component
+    of maximum degree above 3, where the exact check can take exponential
+    time, keeps its first candidate unchecked.
     """
     h = _component_graph(g, comp)
+    reason = non_decomposable_reason(h)
+    if reason is not None:
+        raise DecompositionError(
+            f"component on vertices {_component_vertices(g, comp)} is not decomposable: {reason}"
+        )
     for placements in (_claw_placements, _subdivided_claw_placements):
         candidates = _claw_candidates(h, placements)
         first = next(candidates, None)
@@ -358,7 +456,7 @@ def _build_odd_component(g: Graph, comp: list[int]) -> list[Element]:
         chosen = next(colorable, first) if max(h.degrees) <= 3 else first
         return [Element.from_edges(g, [comp[e] for e in el.edges]) for el in chosen]
     raise DecompositionError(
-        "no pertinent decomposition exists for an odd component; input is likely not decomposable"
+        f"component on vertices {_component_vertices(g, comp)} has no pertinent decomposition"
     )
 
 

@@ -7,6 +7,7 @@ multigraphs and gives decompositions and colorings stable references.
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -280,6 +281,12 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+_SEXTETS = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
 def write_graph6(g: Graph) -> str:
     """Encode a simple graph as a graph6 line (no header, no newline)."""
     if g.multigraph and len(set(g.edges)) != g.m:
@@ -291,19 +298,21 @@ def write_graph6(g: Graph) -> str:
         head = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:
         raise GraphError(f"n={n} beyond supported graph6 range")
-    nbits = n * (n - 1) // 2
-    bits = 0
+    # the upper triangle column by column, rows u < v of column v in order,
+    # stream bit p at bit p of one integer: column v is its mask's low v bits
     adj = g.adjacency_masks
-    pos = nbits - 1
-    for v in range(1, n):
-        for u in range(v):
-            if adj[u] >> v & 1:
-                bits |= 1 << pos
-            pos -= 1
-    nbytes = (nbits + 5) // 6
-    bits <<= nbytes * 6 - nbits
-    body = [(bits >> (6 * (nbytes - 1 - i)) & 63) + 63 for i in range(nbytes)]
-    return bytes(head + body).decode("ascii")
+    parts = [(adj[v] & ((1 << v) - 1), v) for v in range(1, n)]  # (bits, length)
+    while len(parts) > 1:  # join neighbors pairwise: O(bits log n), no quadratic regrowth
+        odd = parts[-1:] if len(parts) % 2 else []
+        parts = [(a | b << la, la + lb) for (a, la), (b, lb) in zip(parts[::2], parts[1::2])]
+        parts += odd
+    bits, nbits = parts[0] if parts else (0, 0)
+    # little-endian bytes with their bits reversed put stream bit 0 first;
+    # base64 then cuts 3 bytes into 4 six-bit groups, written as 63 + value
+    pad = -nbits % 24
+    raw = bits.to_bytes((nbits + pad) // 8, "little").translate(_BIT_REVERSED)
+    raw = binascii.b2a_base64(raw, newline=False)
+    return (bytes(head) + raw.translate(_SEXTETS)[: (nbits + 5) // 6]).decode("ascii")
 
 
 # -- canonical labeling ------------------------------------------------------

@@ -26,7 +26,12 @@ edge in that order.  The parity and proper edge-coloring searches in
 ``constructive`` use the engine with their own hooks.  ``chi_irr`` searches
 up to floor(m/2) colors, the bound past which no coloring can exist, unless
 given a smaller ``k_max``.  A node budget given to ``chi_irr`` covers the
-whole call, all k together.
+whole call, all k together.  Two answers take no search: k = 1 works iff
+the graph is locally irregular, and a simple graph has no coloring at all
+iff an edge component is an odd path, an odd cycle or a member of the
+triangle family T (Baudon, Bensmail, Przybyło & Woźniak, European J.
+Combin. 49, 2015; ``decompose.non_decomposable_reason``, which never
+flags a component with parallel edges, so multigraphs stay exact).
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .decompose import validate_decomposition
+from .decompose import non_decomposable_reason, validate_decomposition
 from .graph import Graph, GraphError
-from .irregularity import EdgeColoring, verify_coloring
+from .irregularity import EdgeColoring, is_locally_irregular, verify_coloring
 
 COLORED = "colored"
 REFUTED = "refuted"
@@ -270,14 +275,21 @@ def _assignment_to_coloring(g: Graph, groups, assignment, k) -> EdgeColoring:
     return EdgeColoring(tuple(colors), k)
 
 
+def _colored(g: Graph, col: EdgeColoring, nodes: int, start: float) -> SolveResult:
+    """COLORED with ``col``, once ``verify_coloring`` accepts it."""
+    if not verify_coloring(g, col).valid:
+        raise GraphError("exact search returned an invalid coloring (bug)")
+    return SolveResult(COLORED, col.k, col, nodes, time.perf_counter() - start)
+
+
 def _search_levels(
-    g: Graph, groups, k_max: int, pair_ok, node_budget: int | None, exhausted: str
+    g: Graph, groups, levels: range, pair_ok, node_budget: int | None, exhausted: str
 ) -> SolveResult:
-    """Search k = 1..k_max in order; ``node_budget`` covers all levels
-    together.  Every level refuted gives status ``exhausted``."""
+    """Search each k of ``levels`` in order; ``node_budget`` covers all
+    levels together.  Every level refuted gives status ``exhausted``."""
     start = time.perf_counter()
     spent = 0
-    for k in range(1, k_max + 1):
+    for k in levels:
         left = None if node_budget is None else node_budget - spent
         try:
             assignment, nodes = search_groups(g, groups, k, pair_ok=pair_ok, node_budget=left)
@@ -287,10 +299,7 @@ def _search_levels(
             return SolveResult(EXCEEDED_BUDGET, None, None, node_budget + 1, elapsed)
         spent += nodes
         if assignment is not None:
-            col = _assignment_to_coloring(g, groups, assignment, k)
-            if not verify_coloring(g, col).valid:
-                raise GraphError("exact search returned an invalid coloring (bug)")
-            return SolveResult(COLORED, k, col, spent, time.perf_counter() - start)
+            return _colored(g, _assignment_to_coloring(g, groups, assignment, k), spent, start)
     return SolveResult(exhausted, None, None, spent, time.perf_counter() - start)
 
 
@@ -301,25 +310,34 @@ def check_budget(node_budget: int | None) -> None:
 
 
 def chi_irr(g: Graph, k_max: int | None = None, node_budget: int | None = None) -> SolveResult:
-    """Exact locally irregular chromatic index, searching k = 1..k_max in
-    order; ``node_budget`` bounds the nodes of the whole call.
+    """Exact locally irregular chromatic index; ``node_budget`` bounds the
+    search nodes of the whole call.
 
-    Every nonempty locally irregular class has at least 2 edges, so
-    floor(m/2) colors suffice whenever any coloring exists: the search stops
-    there, and exhausting it gives NOT_DECOMPOSABLE.  ``k_max=None``
-    searches to that bound; a smaller ``k_max`` that is exhausted gives
-    REFUTED."""
+    One color works iff ``g`` is locally irregular, answered with 0 nodes.
+    A graph with an edge component that ``non_decomposable_reason`` rejects
+    (an odd path, an odd cycle or a member of T; Baudon, Bensmail, Przybyło
+    & Woźniak 2015) has no coloring at all, and gets with 0 nodes the status
+    the exhausted search would give.  Any other graph, a multigraph's
+    components with parallel edges included, is searched at k = 2, 3, ...
+    in order.  Every nonempty locally irregular class has at least 2 edges,
+    so floor(m/2) colors suffice whenever any coloring exists:
+    ``k_max=None`` means that bound, and exhausting it gives
+    NOT_DECOMPOSABLE; a smaller ``k_max`` exhausted gives REFUTED."""
     if k_max is not None and k_max < 1:
         raise GraphError("k_max must be at least 1")
     check_budget(node_budget)
     start = time.perf_counter()
     if g.m == 0:
         return SolveResult(COLORED, 0, EdgeColoring((), 0), 0, time.perf_counter() - start)
+    if is_locally_irregular(g):
+        return _colored(g, EdgeColoring((1,) * g.m, 1), 0, start)
     bound = g.m // 2
+    exhausted = NOT_DECOMPOSABLE if k_max is None or k_max >= bound else REFUTED
+    if non_decomposable_reason(g) is not None:
+        return SolveResult(exhausted, None, None, 0, time.perf_counter() - start)
     groups = [(e,) for e in edge_order(g)]
-    if k_max is None or k_max >= bound:
-        return _search_levels(g, groups, bound, None, node_budget, NOT_DECOMPOSABLE)
-    return _search_levels(g, groups, k_max, None, node_budget, REFUTED)
+    top = bound if exhausted == NOT_DECOMPOSABLE else k_max
+    return _search_levels(g, groups, range(2, top + 1), None, node_budget, exhausted)
 
 
 @dataclass(frozen=True)
@@ -331,7 +349,12 @@ class DecomposabilityCertificate:
 
 
 def is_decomposable(g: Graph, node_budget: int | None = None) -> DecomposabilityCertificate:
-    """Decide decomposability by exhaustive search up to floor(m/2) colors."""
+    """Decide decomposability through ``chi_irr``: a graph with an odd
+    path, an odd cycle or a member of T as an edge component is refuted
+    with no search node; any other simple graph is decomposable, witnessed
+    by the coloring the search finds.  A multigraph whose parallel edges
+    leave it in doubt is decided by exhaustive search up to floor(m/2)
+    colors."""
     res = chi_irr(g, node_budget=node_budget)
     if res.status == COLORED:
         return DecomposabilityCertificate(True, res.coloring, None, res.nodes)
@@ -354,4 +377,4 @@ def element_uniform_search(
     els = in_edge_order(g, d.elements)
     groups = [el.edges for el in els]
     pair_ok = central_pair_ok(els) if enforce_property_ii else None
-    return _search_levels(g, groups, k_max, pair_ok, None, REFUTED)
+    return _search_levels(g, groups, range(1, k_max + 1), pair_ok, None, REFUTED)

@@ -32,3 +32,13 @@ def random_graph(rng: random.Random, n_max: int = 8, p: float = 0.4) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     )
     return Graph(n, edges)
+
+
+def triangle_chain(t: int) -> Graph:
+    """t triangles in a row, each joined to the next by one edge: a member
+    of the non-decomposable family T, with 4t - 1 edges."""
+    edges = []
+    for i in range(t):
+        a = 3 * i
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)] + ([(a + 2, a + 3)] if i < t - 1 else [])
+    return Graph(3 * t, tuple(edges))

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import triangle_chain
 from locirr.cli import main
 from locirr.dot import export_dot
 from locirr.graph import (
@@ -67,6 +69,21 @@ class TestChiIrr:
         spec = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "multigraph": False})
         code, out, _ = run(capsys, "chi-irr", spec)
         assert code == 0 and "chi-irr=2" in out
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(10_001), path_graph(10_001), triangle_chain(2_501)],
+        ids=["C10001", "P10002", "T-chain"],
+    )
+    def test_not_decomposable_at_scale(self, capsys, tmp_path, g):
+        # settled by structure with no search; the graph6 label of 10^4
+        # vertices is written in linear time too
+        path = tmp_path / "g.json"
+        path.write_text(g.to_json())
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "chi-irr", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out.endswith(" not-decomposable\n")
 
 
 class TestGoldenOutput:
@@ -253,6 +270,23 @@ class TestPipelines:
     def test_decompose_odd_cycle(self, capsys):
         code, out, _ = run(capsys, "decompose", "DUW", "--mode", "2path")
         assert code == 2 and "no decomposition" in out
+
+    @pytest.mark.parametrize(
+        "g, reason",
+        [
+            (path_graph(5), "odd path"),
+            (cycle_graph(7), "odd cycle"),
+            (triangle_chain(2), "member of T"),
+        ],
+    )
+    def test_decompose_names_why_not_decomposable(self, capsys, g, reason):
+        for mode in ("pertinent", "strong"):
+            code, out, _ = run(capsys, "decompose", write_graph6(g), "--mode", mode)
+            verts = list(range(g.n))
+            assert (code, out) == (
+                2,
+                f"no decomposition: component on vertices {verts} is not decomposable: {reason}\n",
+            )
 
     @pytest.mark.parametrize(
         "argv",

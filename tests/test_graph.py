@@ -1,4 +1,6 @@
+import math
 import random
+import re
 import time
 
 import networkx as nx
@@ -158,6 +160,25 @@ class TestGraph6:
         text = write_graph6(g)
         assert text.encode() + b"\n" == nx.to_graph6_bytes(h, header=False)
         assert text[0] == "~" and parse_graph6(text) == g
+
+    def test_large_graph_written_in_linear_time(self):
+        # C_10001 has 50M adjacency bits; each edge sets one, which a sparse
+        # decode of the non-zero bytes finds again
+        g = cycle_graph(10_001)
+        start = time.perf_counter()
+        text = write_graph6(g)
+        assert time.perf_counter() - start < 1.0
+        body = text.encode()[4:]
+        assert len(body) == (g.n * (g.n - 1) // 2 + 5) // 6
+        edges = set()
+        for hit in re.finditer(rb"[^?]", body):
+            i = hit.start()
+            for b in range(6):
+                if (body[i] - 63) >> (5 - b) & 1:
+                    pos = 6 * i + b  # column v holds positions v(v-1)/2 .. v(v+1)/2 - 1
+                    v = (1 + math.isqrt(1 + 8 * pos)) // 2
+                    edges.add((pos - v * (v - 1) // 2, v))
+        assert edges == set(g.edges)
 
     def test_header(self):
         assert parse_graph6(">>graph6<<C~") == complete_graph(4)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import namedtuple
 
 import networkx as nx
@@ -8,19 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import triangle_chain
 from locirr.decompose import (
     Decomposition,
     Element,
     _component_graph,
     _edge_components,
     enumerate_two_path_decompositions,
+    non_decomposable_reason,
     strongly_pertinent_decomposition,
     two_path_decomposition,
 )
-from locirr.enumerate import CUBIC, SUBCUBIC_MIN2, enumerate_graphs
+from locirr.enumerate import CUBIC, SUBCUBIC_MIN2, GraphClassFilter, enumerate_graphs
 from locirr.graph import (
     Graph,
     GraphError,
+    canon_adjacency,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -47,11 +51,12 @@ from locirr.solver import (
 
 
 @st.composite
-def multigraphs(draw, n_max=9):
+def multigraphs(draw, n_max=9, m_max=None):
     """Loopless multigraphs, edges in drawn order, often disconnected."""
     n = draw(st.integers(1, n_max))
     ends = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    size = 3 * n if m_max is None else m_max
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=size))
     return Graph(n, tuple(pairs), multigraph=True)
 
 
@@ -213,7 +218,7 @@ class TestSearchGroups:
         for flt, n_max in ((CUBIC, 10), (SUBCUBIC_MIN2, 8)):
             graphs = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n, flt)]
             totals.append(sum(chi_irr(g, max(3, g.m // 2)).nodes for g in graphs))
-        assert totals == [8_847, 5_770]
+        assert totals == [8_712, 4_540]
 
     def test_solver_outputs_pinned(self):
         # one sha256 over (k, nodes, colors) of the same solves: the node
@@ -225,7 +230,19 @@ class TestSearchGroups:
                     res = chi_irr(g, max(3, g.m // 2))
                     colors = res.coloring.colors if res.coloring else None
                     h.update(repr((res.k, res.nodes, colors)).encode())
-        assert h.hexdigest() == "078cc44cf30e39e98748e8f556901f20cf862eb4cdb0be17b7a7c5cbf9dfe5cb"
+        assert h.hexdigest() == "7230e12aba6f98e21281a87d48e60399844c4afa0d92f18546e2245c30eb72f4"
+
+    def test_solver_colorings_pinned(self):
+        # one sha256 over (status, k, colors) of the same solves, without
+        # the node counts: what a solve answers, however it gets there
+        h = hashlib.sha256()
+        for flt, n_max in ((CUBIC, 10), (SUBCUBIC_MIN2, 8)):
+            for n in range(1, n_max + 1):
+                for g in enumerate_graphs(n, flt):
+                    res = chi_irr(g, max(3, g.m // 2))
+                    colors = res.coloring.colors if res.coloring else None
+                    h.update(repr((res.status, res.k, colors)).encode())
+        assert h.hexdigest() == "7fab65888bf4f3ce8c552a52ad27cb6f0f2229f807eae9f6c82599c8eb73a648"
 
 
 class TestChiIrr:
@@ -286,10 +303,11 @@ class TestChiIrr:
         assert res.nodes >= 100_000
 
     def test_budget_covers_whole_call(self):
-        # C6 spends 3, 19 and 15 nodes on k = 1, 2, 3: each level fits in 20
-        # nodes on its own, the three together do not
-        assert chi_irr(cycle_graph(6), 3).nodes == 37
-        assert chi_irr(cycle_graph(6), 3, node_budget=37).status == COLORED
+        # C6 is not locally irregular, so k = 1 takes no search; it spends 19
+        # and 15 nodes on k = 2, 3: each level fits in 20 nodes on its own,
+        # the two together do not
+        assert chi_irr(cycle_graph(6), 3).nodes == 34
+        assert chi_irr(cycle_graph(6), 3, node_budget=34).status == COLORED
         assert chi_irr(cycle_graph(6), 3, node_budget=20).status == EXCEEDED_BUDGET
 
     def test_random_cubic_tail_within_budget(self):
@@ -350,6 +368,162 @@ class TestDecomposability:
 
     def test_k4(self):
         assert is_decomposable(complete_graph(4)).decomposable
+
+
+def _search_decomposable(g: Graph) -> bool:
+    """Decomposability by the exhaustive single-edge search to floor(m/2)
+    colors, the bound past which no coloring can exist."""
+    groups = [(e,) for e in edge_order(g)]
+    levels = range(1, g.m // 2 + 1)
+    return g.m == 0 or any(search_groups(g, groups, k)[0] is not None for k in levels)
+
+
+def _t_members(max_m: int):
+    """The members of T with at most ``max_m`` edges, one per isomorphism
+    class, built by the recursive rule: from a triangle, attach at a
+    triangle vertex of degree 2 a path with an even number of edges, or an
+    odd path that ends in a new triangle."""
+    seen = set()
+    stack = [(3, ((0, 1), (0, 2), (1, 2)), frozenset({0, 1, 2}))]  # (n, edges, triangle vertices)
+    while stack:
+        n, edges, tri = stack.pop()
+        g = Graph(n, edges)
+        key = canon_adjacency(g.adjacency_masks)[0]
+        if key in seen:
+            continue
+        seen.add(key)
+        yield g
+        for v in sorted(tri):
+            if g.degrees[v] != 2:
+                continue
+            for length in range(1, max_m - g.m + 1):
+                path = [v, *range(n, n + length)]
+                grown = edges + tuple(zip(path, path[1:]))
+                if length % 2 == 0:
+                    stack.append((n + length, grown, tri))
+                elif g.m + length + 3 <= max_m:
+                    end, a, b = path[-1], n + length, n + length + 1
+                    stack.append((b + 1, grown + ((end, a), (end, b), (a, b)), tri | {end, a, b}))
+
+
+class TestNonDecomposableRule:
+    """``non_decomposable_reason`` against the exhaustive search, and
+    ``chi_irr`` answering by it with no search."""
+
+    @staticmethod
+    def check(g: Graph) -> str | None:
+        reason = non_decomposable_reason(g)
+        decomposable = _search_decomposable(g)
+        assert (reason is None) == decomposable
+        res = chi_irr(g)
+        assert (res.status == NOT_DECOMPOSABLE) == (not decomposable)
+        if not decomposable:
+            assert res.nodes == 0
+        return reason
+
+    def test_connected_graphs_to_7_vertices(self):
+        flt = GraphClassFilter(connected=True)
+        graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, flt)]
+        assert len(graphs) == 996
+        assert sum(self.check(g) is not None for g in graphs) == 10
+
+    def test_connected_subcubic_graphs_to_10_vertices(self):
+        flt = GraphClassFilter(max_degree=3, connected=True)
+        graphs = [g for n in range(1, 11) for g in enumerate_graphs(n, flt)]
+        assert len(graphs) == 2_571
+        assert sum(self.check(g) is not None for g in graphs) == 24
+
+    def test_paths_and_cycles(self):
+        for m in range(1, 16):
+            assert self.check(path_graph(m)) == ("odd path" if m % 2 else None)
+            if m >= 3:
+                assert self.check(cycle_graph(m)) == ("odd cycle" if m % 2 else None)
+        # 16 to 19 edges by parity alone, where the search would take up to
+        # 1.2M nodes
+        for m in range(16, 20):
+            for g in (path_graph(m), cycle_graph(m)):
+                res = chi_irr(g)
+                if m % 2:
+                    assert (res.status, res.nodes) == (NOT_DECOMPOSABLE, 0)
+                else:
+                    assert res.status == COLORED
+
+    def test_members_of_t(self):
+        sizes: dict[int, int] = {}
+        for g in _t_members(15):
+            sizes[g.m] = sizes.get(g.m, 0) + 1
+            assert self.check(g) == ("odd cycle" if g.m == 3 else "member of T")
+        assert sizes == {3: 1, 5: 1, 7: 3, 9: 5, 11: 10, 13: 17, 15: 36}
+
+    def test_one_edge_more_or_less_leaves_t(self):
+        # a triangle with a pendant 2-path is in T; with a 1- or 3-path, or
+        # with two triangles sharing a vertex, it is not
+        assert self.check(Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)))) == "member of T"
+        assert self.check(Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))) is None
+        assert self.check(Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)))) is None
+        assert self.check(Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))) is None
+
+    def test_disjoint_unions(self):
+        c4 = ((0, 1), (1, 2), (2, 3), (0, 3))
+        c4_c5 = Graph(9, c4 + ((4, 5), (5, 6), (6, 7), (7, 8), (4, 8)))
+        c4_c6 = Graph(10, c4 + ((4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (4, 9)))
+        assert self.check(c4_c5) == "odd cycle"
+        assert self.check(c4_c6) is None
+        assert chi_irr(c4_c6).k == 3  # C6 needs three colors
+        # an isolated vertex and a decomposable first component do not hide
+        # the odd path after them
+        assert self.check(Graph(7, ((1, 2), (2, 3), (1, 3), (1, 4), (5, 6)))) == "odd path"
+
+    def test_multigraphs_keep_the_search(self):
+        # the 2-cycle is not decomposable, though the simple-graph rule
+        # passes it; so are a triple and a fivefold edge, which the search
+        # refutes
+        for mult in (2, 3, 5):
+            g = Graph(2, ((0, 1),) * mult, multigraph=True)
+            assert non_decomposable_reason(g) is None and oracles.naive_chi_irr(g) is None
+            assert chi_irr(g).status == NOT_DECOMPOSABLE
+        assert chi_irr(Graph(2, ((0, 1),) * 5, multigraph=True)).nodes > 0
+
+    @given(multigraphs(n_max=6, m_max=7))
+    @settings(max_examples=300, deadline=None)
+    def test_multigraphs_against_naive_oracle(self, g):
+        # the rule flags no component with parallel edges, so on
+        # multigraphs it answers only where the simple-graph theorem holds
+        want = oracles.naive_chi_irr(g)
+        res = chi_irr(g)
+        if want is None:
+            assert (res.status, res.k) == (NOT_DECOMPOSABLE, None)
+        else:
+            assert (res.status, res.k) == (COLORED, want)
+        for comp in _edge_components(g, range(g.m)):
+            h = _component_graph(g, comp)
+            if len(set(h.edges)) < h.m:
+                assert non_decomposable_reason(h) is None
+
+    def test_five_triangle_chain_needs_no_search(self):
+        # 19 edges; the exhaustive search ran past 5M nodes here
+        res = chi_irr(triangle_chain(5))
+        assert (res.status, res.nodes) == (NOT_DECOMPOSABLE, 0)
+        assert chi_irr(triangle_chain(5), 3).status == REFUTED
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(10_001), path_graph(10_001), triangle_chain(2_501)],
+        ids=["C10001", "P10002", "T-chain"],
+    )
+    def test_at_scale(self, g):
+        assert g.m >= 10_000
+        start = time.perf_counter()
+        res = chi_irr(g)
+        cert = is_decomposable(g)
+        assert time.perf_counter() - start < 1.0
+        assert (res.status, res.nodes) == (NOT_DECOMPOSABLE, 0)
+        assert not cert.decomposable and cert.refuted_up_to == g.m // 2 and cert.nodes == 0
+
+    def test_locally_irregular_graph_needs_no_search(self):
+        g = star_graph(4)
+        res = chi_irr(g, node_budget=0)
+        assert (res.status, res.k, res.nodes, res.coloring.colors) == (COLORED, 1, 0, (1,) * 4)
 
 
 class TestElementUniform:
