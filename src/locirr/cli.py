@@ -53,19 +53,19 @@ def _load_text(spec: str) -> str:
     return spec
 
 
-def load_graphs(spec: str) -> list[Graph]:
+def load_graphs(spec: str) -> tuple[list[Graph], bool]:
     """A graph6 literal, a JSON literal, or a file of either (graph6 one per
-    line)."""
+    line); with whether the input was JSON."""
     text = _load_text(spec).strip()
     if not text:
         raise GraphError("empty graph input")
     if text.startswith("{"):
-        return [Graph.from_json(text)]
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+        return [Graph.from_json(text)], True
+    return [parse_graph6(line) for line in text.splitlines() if line.strip()], False
 
 
 def load_graph(spec: str) -> Graph:
-    graphs = load_graphs(spec)
+    graphs, _ = load_graphs(spec)
     if len(graphs) != 1:
         raise GraphError(f"expected a single graph, got {len(graphs)}")
     return graphs[0]
@@ -90,11 +90,13 @@ def _parse_signature(text: str) -> tuple[int, ...]:
 
 
 def cmd_chi_irr(args) -> int:
-    graphs = load_graphs(args.graph)
+    graphs, from_json = load_graphs(args.graph)
     code = OK
     for g in graphs:
         res = chi_irr(g, args.k_max, node_budget=args.budget)
-        label = write_graph6(g) if not g.multigraph else "<multigraph>"
+        # a JSON graph, multigraphs included, is labeled short: the graph6
+        # line of n vertices has n(n-1)/12 characters
+        label = "<json>" if from_json else write_graph6(g)
         if res.status == COLORED:
             print(f"{label} chi-irr={res.k} nodes={res.nodes}")
         elif res.status == NOT_DECOMPOSABLE:

@@ -239,7 +239,8 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a simple Graph."""
+    """Decode one graph6 line into a simple Graph, in time linear in the
+    line: ``write_graph6`` reversed."""
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER) :]
     elif text.startswith(">>"):
@@ -251,9 +252,10 @@ def parse_graph6(text: str) -> Graph:
         data = text.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
-    for i, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise Graph6Error(f"byte {b!r} outside graph6 alphabet", i)
+    if data.translate(None, _G6_ALPHABET):  # some byte is outside: find the first
+        for i, b in enumerate(data):
+            if not (63 <= b <= 126):
+                raise Graph6Error(f"byte {b!r} outside graph6 alphabet", i)
     n, off = _g6_read_n(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -263,28 +265,31 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - off > nbytes:
         raise Graph6Error("trailing garbage after adjacency bits", off + nbytes)
-    bits = 0
-    for i in range(nbytes):
-        bits = bits << 6 | (data[off + i] - 63)
-    pad = nbytes * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
+    pad = nbytes * 6 - nbits  # fewer than 6 bits, all in the last byte
+    if pad and (data[-1] - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", len(data) - 1)
-    bits >>= pad
+    # the six-bit groups back to base64 text, then to bytes; reversing each
+    # byte's bits puts stream bit p at bit p % 8 of byte p // 8
+    body = data[off:].translate(_UNSEXTETS) + b"A" * (-nbytes % 4)
+    raw = binascii.a2b_base64(body).translate(_BIT_REVERSED)
     edges = []
-    # bit order: column-wise upper triangle, (0,1), (0,2), (1,2), (0,3), ...
-    pos = nbits - 1
+    # column v of the upper triangle holds rows u < v at stream bits
+    # v(v-1)/2 onwards: one slice, one shift and one mask per column
     for v in range(1, n):
-        for u in range(v):
-            if bits >> pos & 1:
-                edges.append((u, v))
-            pos -= 1
+        p = v * (v - 1) // 2
+        col = int.from_bytes(raw[p >> 3 : (p + v + 7) >> 3], "little") >> (p & 7) & ((1 << v) - 1)
+        while col:
+            low = col & -col
+            edges.append((low.bit_length() - 1, v))
+            col ^= low
     return Graph(n, tuple(sorted(edges)))
 
 
 _BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-_SEXTETS = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_G6_ALPHABET = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_SEXTETS = bytes.maketrans(_BASE64, _G6_ALPHABET)
+_UNSEXTETS = bytes.maketrans(_G6_ALPHABET, _BASE64)
 
 
 def write_graph6(g: Graph) -> str:

@@ -16,10 +16,11 @@ only on the group order, so ``search_groups`` fixes each edge's test at one
 position when the search is built, in the same pass that lists each
 position's edges, and a placement checks only the edges listed there; a
 placement that fails a check undoes its counts in place.  Every search
-branches in
-``edge_order``, a greedy vertex-completion order (maximum cardinality
-search, ties to the vertex with the fewest edges left), so vertices become
-complete early and closure cuts a bad branch soon after it is made;
+branches in ``edge_order``, a greedy vertex-completion order (maximum
+cardinality search, ties to the vertex with the fewest edges left, then to
+the one on the most triangles; each component started at its vertex of
+highest degree, most triangles first), so vertices become complete and
+triangles close early and closure cuts a bad branch soon after it is made;
 searches over decomposition elements, the subcubic colorer's exhaustive
 fallback included, take the elements in ``in_edge_order``, by their first
 edge in that order.  The parity and proper edge-coloring searches in
@@ -65,37 +66,50 @@ class _Budget(Exception):
 
 
 def edge_order(g: Graph) -> list[int]:
-    """Branching order by greedy vertex completion: components in order of
-    their least vertex, each started at that vertex; a taken vertex emits its
-    edges not yet emitted, in ``g.incidence`` order.  The next vertex taken
-    is the one with the most edges emitted, ties going to the fewest edges
-    left and then to the least index: maximum cardinality search (Tarjan &
-    Yannakakis 1984) with a tie-break that completes vertices soon.
+    """Branching order by greedy vertex completion, triangles first.  The
+    start key of a vertex is (most edges, most triangles, least index); the
+    components are taken in the order of their first vertex by that key, each
+    started at that vertex.  A taken vertex emits its edges not yet emitted,
+    in ``g.incidence`` order.  The next vertex taken is the one with the most
+    edges emitted, ties going to the fewest edges left, then to the most
+    triangles and then to the least index: maximum cardinality search (Tarjan
+    & Yannakakis 1984) with a tie-break that completes vertices, and closes
+    triangles, soon.
 
     A vertex is complete once all its edges are emitted, so the closure
     check in ``search_groups`` judges each edge a few positions after the
-    search reaches it, not deep in the search.  A lazy heap keeps the order
+    search reaches it, not deep in the search.  On a regular graph the edge
+    counts never decide, and the triangles do.  A lazy heap keeps the order
     O(m log m), without recursion."""
+    masks = g.adjacency_masks
+    # -2 x each vertex's triangles (a triangle counts at both its edges at
+    # the vertex); negative, so that more triangles sort first
+    tri = [0] * g.n
+    for u, v in g.edges:
+        t = (masks[u] & masks[v]).bit_count()
+        tri[u] -= t
+        tri[v] -= t
+    inc = g.incidence
     emitted = [False] * g.m
     taken = [False] * g.n
     got = [0] * g.n  # edges emitted at each vertex
     order = []
-    for s in range(g.n):
+    for s in sorted(range(g.n), key=lambda v: (-len(inc[v]), tri[v], v)):
         if taken[s]:
             continue
-        heap = [(0, 0, s)]
+        heap = [(0, 0, 0, s)]
         while heap:
-            v = heapq.heappop(heap)[2]
+            v = heapq.heappop(heap)[3]
             if taken[v]:
                 continue  # an older entry: the vertex's latest one came first
             taken[v] = True
-            for e, u in g.incidence[v]:
+            for e, u in inc[v]:
                 if not emitted[e]:
                     emitted[e] = True
                     order.append(e)
                     got[u] += 1
                     if not taken[u]:
-                        heapq.heappush(heap, (-got[u], len(g.incidence[u]) - got[u], u))
+                        heapq.heappush(heap, (-got[u], len(inc[u]) - got[u], tri[u], u))
     return order
 
 

@@ -180,6 +180,28 @@ class TestGraph6:
                     edges.add((pos - v * (v - 1) // 2, v))
         assert edges == set(g.edges)
 
+    def test_large_graph_read_in_linear_time(self):
+        g = cycle_graph(10_001)
+        text = write_graph6(g)
+        start = time.perf_counter()
+        h = parse_graph6(text)
+        assert time.perf_counter() - start < 1.0
+        assert h.n == g.n and sorted(h.edges) == sorted(g.edges)
+
+    def test_round_trip_at_ten_thousand_vertices(self):
+        h = nx.gnm_random_graph(10_000, 15_000, seed=1)
+        g = _from_nx(h)
+        assert parse_graph6(write_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_nonzero_padding_rejected(self, n):
+        # the last byte's low pad bits follow the n(n-1)/2 adjacency bits
+        text = write_graph6(Graph(n, ()))
+        pad = -(n * (n - 1) // 2) % 6
+        with pytest.raises(Graph6Error, match="nonzero padding bits") as exc:
+            parse_graph6(text[:-1] + chr(63 + (1 << pad) - 1))
+        assert exc.value.offset == len(text) - 1
+
     def test_header(self):
         assert parse_graph6(">>graph6<<C~") == complete_graph(4)
         with pytest.raises(Graph6Error, match="unsupported header"):

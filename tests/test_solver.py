@@ -65,16 +65,28 @@ class TestEdgeOrder:
     def check_blocks_grow_connected(g):
         order = edge_order(g)
         assert sorted(order) == list(range(g.m))
-        # each component's edges form one block, blocks ordered by least
-        # vertex, and every prefix of a block is a connected edge set
-        comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
+        # each component's edges form one block, started at the component's
+        # first vertex by the start key (most edges, most triangles, least
+        # index), blocks ordered by that vertex's key; every prefix of a
+        # block is a connected edge set
+        nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+        tri = [sum(len(nbrs[u] & nbrs[v]) for _, u in g.incidence[v]) for v in range(g.n)]
+        key = [(-g.degrees[v], -tri[v], v) for v in range(g.n)]
+        first = {}  # component index -> its first vertex by key
+        comp_of = {}
+        for i, comp in enumerate(g.components()):
+            first[i] = min(comp, key=key.__getitem__)
+            comp_of.update((v, i) for v in comp)
         blocks = [comp_of[g.edges[e][0]] for e in order]
-        assert blocks == sorted(blocks)
+        starts = [key[first[b]] for b in blocks]
+        assert starts == sorted(starts)
         touched = set()
         for i, e in enumerate(order):
             u, v = g.edges[e]
             if i and blocks[i] == blocks[i - 1]:
                 assert u in touched or v in touched
+            else:
+                assert first[blocks[i]] in (u, v)
             touched.update((u, v))
 
     @given(multigraphs())
@@ -88,11 +100,26 @@ class TestEdgeOrder:
         assert edge_order(cycle_graph(6)) == [0, 5, 1, 2, 3, 4]
 
     def test_fewest_edges_left_breaks_ties(self):
-        # after vertex 0, vertices 1 and 2 each have one edge emitted; 2 has
-        # one edge left and 1 two, so 2 goes first, then its leaf 5 (no edge
-        # left), then 1
+        # the spider starts at its degree-3 vertex 1, not at vertex 0; then
+        # 0, 3 and 4 each have one edge emitted, the leaves 3 and 4 none
+        # left, so they go first and emit nothing; 0 emits edge 1, 2 edge 4
         g = Graph(6, ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5)))
-        assert edge_order(g) == [0, 1, 4, 2, 3]
+        assert edge_order(g) == [0, 2, 3, 1, 4]
+        # after vertex 0, vertices 1..4 each have one edge emitted; 1 has two
+        # edges left and 2 one, so 2 emits edge 6 before 1 emits 4 and 5
+        g = Graph(8, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7)))
+        assert edge_order(g) == [0, 1, 2, 3, 6, 4, 5]
+
+    def test_triangles_break_ties(self):
+        # after vertex 0, vertices 1, 2 and 3 each have one edge emitted and
+        # one left; 2 and 3 lie on a triangle and 1 does not, so 2 closes the
+        # triangle with edge 4 before 1 emits edge 3
+        g = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 3)))
+        assert edge_order(g) == [0, 1, 2, 4, 3]
+        # a 4-cycle on 0..3 and a triangle on 4..6, all of degree 2: the
+        # triangle's component goes first, started at vertex 4
+        g = Graph(7, ((0, 1), (0, 3), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)))
+        assert edge_order(g) == [4, 5, 6, 0, 1, 2, 3]
 
     @given(multigraphs(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
@@ -218,7 +245,7 @@ class TestSearchGroups:
         for flt, n_max in ((CUBIC, 10), (SUBCUBIC_MIN2, 8)):
             graphs = [g for n in range(1, n_max + 1) for g in enumerate_graphs(n, flt)]
             totals.append(sum(chi_irr(g, max(3, g.m // 2)).nodes for g in graphs))
-        assert totals == [8_712, 4_540]
+        assert totals == [5_673, 3_801]
 
     def test_solver_outputs_pinned(self):
         # one sha256 over (k, nodes, colors) of the same solves: the node
@@ -230,7 +257,7 @@ class TestSearchGroups:
                     res = chi_irr(g, max(3, g.m // 2))
                     colors = res.coloring.colors if res.coloring else None
                     h.update(repr((res.k, res.nodes, colors)).encode())
-        assert h.hexdigest() == "7230e12aba6f98e21281a87d48e60399844c4afa0d92f18546e2245c30eb72f4"
+        assert h.hexdigest() == "80abe414952b113e7f7a1a18d0f362f47ac4c9a593804f1cef5fd7be4f1ef152"
 
     def test_solver_colorings_pinned(self):
         # one sha256 over (status, k, colors) of the same solves, without
@@ -242,7 +269,18 @@ class TestSearchGroups:
                     res = chi_irr(g, max(3, g.m // 2))
                     colors = res.coloring.colors if res.coloring else None
                     h.update(repr((res.status, res.k, colors)).encode())
-        assert h.hexdigest() == "7fab65888bf4f3ce8c552a52ad27cb6f0f2229f807eae9f6c82599c8eb73a648"
+        assert h.hexdigest() == "42ad3c2fd6952d1322a258146d9b889413c1e41c7aadbcbb2289a1b0cf7530b4"
+
+    def test_solver_answers_pinned(self):
+        # one sha256 over (status, k) of the same solves: what is known about
+        # each graph, which no change to the branching order may move
+        h = hashlib.sha256()
+        for flt, n_max in ((CUBIC, 10), (SUBCUBIC_MIN2, 8)):
+            for n in range(1, n_max + 1):
+                for g in enumerate_graphs(n, flt):
+                    res = chi_irr(g, max(3, g.m // 2))
+                    h.update(repr((res.status, res.k)).encode())
+        assert h.hexdigest() == "466f743495009e499f5bf81c128aad00f5019b5a077476cf0de255b8bfb974f3"
 
 
 class TestChiIrr:
@@ -320,6 +358,18 @@ class TestChiIrr:
             g = Graph(18, tuple(sorted(tuple(sorted(e)) for e in h.edges())))
             res = chi_irr(g, 4, node_budget=20_000)
             assert res.status == COLORED, seed
+
+    def test_random_cubic_tail_triangles_first(self):
+        # a cubic graph on which the least-index start and ties took 479,047
+        # nodes, and the same graph with a K4 numbered last, which overran
+        # 2,000,000; starting and breaking ties at triangles, a few hundred
+        h = nx.random_regular_graph(3, 40, seed=1)
+        g = Graph(40, tuple(sorted(tuple(sorted(e)) for e in h.edges())))
+        k4 = tuple((40 + i, 40 + j) for i in range(4) for j in range(i + 1, 4))
+        for graph in (g, Graph(44, g.edges + k4)):
+            res = chi_irr(graph, 4, node_budget=10_000)
+            assert res.status == COLORED
+            assert verify_coloring(graph, res.coloring).valid
 
     def test_long_path_past_recursion_limit(self):
         g = path_graph(1200)
