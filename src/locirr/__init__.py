@@ -10,7 +10,7 @@ batch-verification harness with a command-line front end.
 
 from .graph import Graph, GraphError, parse_graph6, write_graph6
 from .irregularity import EdgeColoring, is_locally_irregular, verify_coloring
-from .solver import chi_irr, is_decomposable
+from .solver import chi_irr
 
 __all__ = [
     "Graph",
@@ -21,5 +21,4 @@ __all__ = [
     "is_locally_irregular",
     "verify_coloring",
     "chi_irr",
-    "is_decomposable",
 ]

@@ -429,12 +429,12 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
     With other_side size different from 3 a vertex-parity coloring (0 on the
     even side, 1 elsewhere) is locally irregular outright, since every edge
     then joins an even count to an odd one.  With exactly 3 vertices on the
-    other side, every even-side vertex that has an edge must have exactly 2
-    edges, to 2 distinct neighbors; this always holds in a simple graph,
-    and a multigraph that breaks it raises GraphError.  The graph is then
-    the full subdivision of a multigraph on the 3 other-side vertices; the
-    subdivision colorer finishes, except when that multigraph is a triangle
-    (g is then a 6-cycle) and the run pattern is used instead.
+    other side, every even-side vertex, none isolated in a connected graph,
+    must have exactly 2 edges, to 2 distinct neighbors; this always holds in
+    a simple graph, and a multigraph that breaks it raises GraphError.  The
+    graph is then the full subdivision of a multigraph on the 3 other-side
+    vertices; the subdivision colorer finishes, except when that multigraph
+    is a triangle (g is then a 6-cycle) and the run pattern is used instead.
     """
     bad = b.violations(g)
     if bad:
@@ -451,8 +451,6 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
     owners = []
     for w in sorted(b.even_side):
         nb = g.neighbors(w)
-        if not nb:
-            continue
         if g.degrees[w] != 2 or len(nb) != 2:
             raise GraphError(
                 f"even-side vertex {w} has {g.degrees[w]} edges to {len(nb)} distinct"

@@ -1,25 +1,27 @@
 """Isomorphism-free enumeration of small graphs.
 
 Connected graphs are built one vertex at a time (every prefix connected),
-with degree-target pruning for the cubic/subcubic families.  Duplicates are
-never made: a child is kept only when its new vertex is the canonically
-chosen one to delete (McKay's canonical construction path).  Each parent
-does its invariant work once (see ``_connected_masks``): it tries one
-neighbor subset per orbit of its automorphism group, under the generators
-its own labeling returned, and one lowpoint pass (``_cut_parts``) gives its
-cut structure, which tells every child's non-cut vertices and the subset
-sizes that cannot give a canonical child.  Each child is rejected by the
-first of four tests, cheapest first, that decides: the degrees of the
-non-cut vertices against the new vertex's, the sorted neighbor degrees of
-those of equal degree, the cell order of ``graph.equitable_partition``, and
-the cell order of its ``graph.distance_split``, the root partition.  The
-two partitions are passed the new vertex and its tied vertices, and stop
-refining as soon as a tied vertex falls in a later cell.  A child that
-passes all four is decided by the automorphism orbits from
-``graph.canon_adjacency``, whose search starts from that root partition;
-the same call gives the generators the child keeps as a parent.  A child
-on the last level keeps no generators, so when no non-cut vertex ties with
-its new vertex after the first two tests, it is accepted unlabeled.
+pruned by the filter's degree range [lo, hi].  A regular family is lo == hi
+and has no rule of its own beyond the handshake test: an odd n * hi yields
+nothing, before any graph is built.  Duplicates are never made: a child is
+kept only when its new vertex is the canonically chosen one to delete
+(McKay's canonical construction path).  Each parent does its invariant work
+once (see ``_connected_masks``): it tries one neighbor subset per orbit of
+its automorphism group, under the generators its own labeling returned, and
+one lowpoint pass (``_cut_parts``) gives its cut structure, which tells
+every child's non-cut vertices and the subset sizes that cannot give a
+canonical child.  Each child is rejected by the first of four tests,
+cheapest first, that decides: the degrees of the non-cut vertices against
+the new vertex's, the sorted neighbor degrees of those of equal degree, the
+cell order of ``graph.equitable_partition``, and the cell order of its
+``graph.distance_split``, the root partition.  The two partitions are passed
+the new vertex and its tied vertices, and stop refining as soon as a tied
+vertex falls in a later cell.  A child that passes all four is decided by
+the automorphism orbits from ``graph.canon_adjacency``, whose search starts
+from that root partition; the same call gives the generators the child keeps
+as a parent.  A child on the last level keeps no generators, so when no
+non-cut vertex ties with its new vertex after the first two tests, it is
+accepted unlabeled.
 
 The deletion rule also bounds what can come after a prefix (see
 ``_prune``).  A full last vertex stays non-cut and outranks any later vertex
@@ -42,16 +44,18 @@ from .graph import Graph, GraphError, canon_adjacency, distance_split, equitable
 
 @dataclass(frozen=True)
 class GraphClassFilter:
+    """Connected graphs with degrees in [min_degree, max_degree], bipartite
+    ones only if ``bipartite``; a regular family sets both bounds equal."""
+
     max_degree: int | None = None
     min_degree: int | None = None
-    regular: int | None = None
     connected: bool = True  # only connected graphs are enumerated
     bipartite: bool = False  # True keeps the bipartite graphs only
 
     def __post_init__(self):
         if not self.connected:
             raise GraphError("only connected graphs are enumerated")
-        for name in ("max_degree", "min_degree", "regular"):
+        for name in ("max_degree", "min_degree"):
             bound = getattr(self, name)
             if bound is not None and bound < 0:
                 raise GraphError(f"{name} must be nonnegative, got {bound}")
@@ -61,23 +65,9 @@ class GraphClassFilter:
             and self.min_degree > self.max_degree
         ):
             raise GraphError("min_degree exceeds max_degree")
-        if self.regular is not None:
-            for bound, cmp in ((self.max_degree, -1), (self.min_degree, 1)):
-                if bound is not None and (bound - self.regular) * cmp > 0:
-                    raise GraphError("regular degree conflicts with degree bounds")
-
-    @property
-    def effective_max(self) -> int | None:
-        return self.regular if self.regular is not None else self.max_degree
-
-    @property
-    def effective_min(self) -> int:
-        if self.regular is not None:
-            return self.regular
-        return self.min_degree or 0
 
 
-CUBIC = GraphClassFilter(regular=3)
+CUBIC = GraphClassFilter(min_degree=3, max_degree=3)
 SUBCUBIC_MIN2 = GraphClassFilter(max_degree=3, min_degree=2)
 SUBCUBIC = GraphClassFilter(max_degree=3)
 
@@ -105,7 +95,7 @@ def _is_bipartite_masks(masks) -> bool:
     return True
 
 
-def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
+def _prune(masks, degs, n: int, lo: int, hi: int) -> bool:
     """Can this prefix still extend to a connected n-vertex graph with
     degrees in [lo, hi]?
 
@@ -113,6 +103,14 @@ def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
     r - 1 later neighbors, so at least lo - r + 1 in the prefix, and a
     connected graph joins the prefix to them by at least one edge; the
     prefix's spare degree sum(hi - d) must cover both.
+
+    With lo == hi these bounds already imply the degree-sum tests of a
+    regular family.  No prefix vertex exceeds hi, so each vertex's need
+    lo - d is its whole deficit hi - d: a deficit sum above hi * r is a need
+    sum above hi * r, and a deficit at r == 0 is a need above r.  And the
+    prefix's degree sum hi * (n - r) - deficit is even, so hi * r - deficit
+    has the parity of hi * n, which the caller's handshake test has made
+    even.
 
     Two more follow from the deletion rule of ``_canonical_child`` when the
     prefix's last vertex k is full (degree hi):
@@ -148,13 +146,6 @@ def _prune(masks, degs, n: int, lo: int, hi: int, regular: bool) -> bool:
         return False
     if r and deficit_total < max(1, r * (lo - r + 1)):
         return False
-    if regular:
-        if deficit_total > hi * r:
-            return False
-        if r == 0 and deficit_total:
-            return False
-        if (hi * r - deficit_total) % 2:
-            return False
     if r and degs[-1] == hi:
         full = room = room_short = 0  # room_short: room under rule 2
         stuck = False  # a vertex two or more short of hi is below lo (rule 2)
@@ -299,9 +290,9 @@ def _image(s: int, perm) -> int:
     return out
 
 
-def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bool):
-    """All connected graphs on exactly n vertices with final degrees in [lo, hi]
-    (lo/regular enforced by the caller at the last level), as mask tuples.
+def _connected_masks(n: int, lo: int, hi: int, bipartite_only: bool):
+    """All connected graphs on exactly n >= 1 vertices with final degrees in
+    [lo, hi], as mask tuples.
 
     Canonical construction path (McKay 1998): every graph is built from its
     canonical parent only, the graph minus its canonical non-cut vertex, so
@@ -323,18 +314,14 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
 
     An accepted child keeps the generators its labeling found; they act on
     its vertex ids when it becomes a parent."""
-    if n < 1:
-        return []
     level: list[tuple[tuple[int, ...], tuple]] = [((0,), ())]
-    if not _prune(level[0][0], [0], n, lo, hi, regular):
+    if not _prune(level[0][0], [0], n, lo, hi):
         level = []
     for k in range(1, n):
         kept: list[tuple[tuple[int, ...], tuple]] = []
         for masks, gens in level:
             degs = [m.bit_count() for m in masks]
             eligible = [v for v in range(k) if degs[v] < hi]
-            if not eligible:
-                continue
             parts = _cut_parts(masks)
             top = max(degs[v] for v in range(k) if len(parts[v]) < 2)
             met: set[int] = set()  # the subsets of every orbit met so far
@@ -360,7 +347,7 @@ def _connected_masks(n: int, lo: int, hi: int, regular: bool, bipartite_only: bo
                         child[v] |= 1 << k
                     child.append(new_mask)
                     cdegs = [m.bit_count() for m in child]
-                    if not _prune(child, cdegs, n, lo, hi, regular):
+                    if not _prune(child, cdegs, n, lo, hi):
                         continue
                     if bipartite_only and not _is_bipartite_masks(child):
                         continue
@@ -391,15 +378,13 @@ def enumerate_graphs(n: int, flt: GraphClassFilter) -> Iterator[Graph]:
         raise GraphError("n must be nonnegative")
     if n == 0:
         return
-    if flt.regular is not None and (n * flt.regular) % 2:
+    hi = n - 1 if flt.max_degree is None else flt.max_degree
+    lo = flt.min_degree or 0
+    if lo == hi and n * hi % 2:
         return  # handshake parity
-    hi = flt.effective_max
-    if hi is None:
-        hi = n - 1
-    lo = flt.effective_min
     if n >= 2:
         lo = max(lo, 1)
-    for masks in _connected_masks(n, lo, hi, flt.regular is not None, flt.bipartite):
+    for masks in _connected_masks(n, lo, hi, flt.bipartite):
         yield _masks_to_graph(masks)
 
 

@@ -196,7 +196,7 @@ def run_campaign(
     flt = FAMILIES[family]
     if method not in ("exact", "constructive"):
         raise GraphError(f"unknown method {method!r}")
-    if method == "constructive" and (flt.effective_max is None or flt.effective_max > 3):
+    if method == "constructive" and (flt.max_degree is None or flt.max_degree > 3):
         raise GraphError("method 'constructive' needs a family of maximum degree at most 3")
     if n_max < 0:
         raise GraphError(f"n_max must be nonnegative, got {n_max}")
@@ -235,7 +235,7 @@ def run_campaign(
                 _save_checkpoint(checkpoint, params, n - 1, report)
                 message += f"; checkpoint holds n<{n}"
             raise BudgetExhausted(message)
-        for g6, kind, k in sorted(results):
+        for g6, kind, k in results:
             if kind == "skip":
                 report.non_decomposable[n] = report.non_decomposable.get(n, 0) + 1
             else:
@@ -319,30 +319,25 @@ class Fig6Report:
 @dataclass(frozen=True)
 class DecompositionWitness:
     decomposition_json: str
-    status: str
-    k: int | None
     coloring_json: str | None
 
 
 def fig6_experiment() -> Fig6Report:
     """Scan 2-path decompositions of the subdivided cube for two witnesses:
-    one refuting 3 element-uniform colors and one admitting 2."""
+    one refuting 3 element-uniform colors and one admitting 2.  One search
+    up to 3 colors per decomposition decides both: it tries k = 1, 2, 3 in
+    order, so a coloring with k <= 2 is the one a 2-color search finds."""
     g = fig6_instance()
     refuted = None
     two_col = None
     scanned = 0
     for d in enumerate_two_path_decompositions(g):
         scanned += 1
-        if two_col is None:
-            res2 = element_uniform_search(g, d, 2, enforce_property_ii=False)
-            if res2.status == COLORED:
-                two_col = DecompositionWitness(
-                    d.to_json(), COLORED, res2.k, res2.coloring.to_json()
-                )
-        if refuted is None:
-            res3 = element_uniform_search(g, d, 3, enforce_property_ii=False)
-            if res3.status == REFUTED:
-                refuted = DecompositionWitness(d.to_json(), REFUTED, None, None)
+        res = element_uniform_search(g, d, 3, enforce_property_ii=False)
+        if two_col is None and res.status == COLORED and res.k <= 2:
+            two_col = DecompositionWitness(d.to_json(), res.coloring.to_json())
+        if refuted is None and res.status == REFUTED:
+            refuted = DecompositionWitness(d.to_json(), None)
         if (refuted and two_col) or scanned >= FIG6_MAX_SCAN:
             break
     if refuted is None or two_col is None:

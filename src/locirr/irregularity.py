@@ -43,7 +43,6 @@ class VerificationReport:
 @dataclass(frozen=True)
 class ColorPairComponent:
     colors: frozenset[int]
-    anchor: int
     edges: frozenset[int]
 
 
@@ -92,7 +91,7 @@ def kempe_component(g: Graph, c: EdgeColoring, a: int, b: int, v: int) -> ColorP
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-    return ColorPairComponent(frozenset(pair), v, frozenset(comp_edges))
+    return ColorPairComponent(frozenset(pair), frozenset(comp_edges))
 
 
 def swap(g: Graph, c: EdgeColoring, comp: ColorPairComponent) -> EdgeColoring:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-import time
 from dataclasses import dataclass
 
 from .decompose import non_decomposable_reason, validate_decomposition
@@ -58,7 +57,6 @@ class SolveResult:
     k: int | None
     coloring: EdgeColoring | None
     nodes: int
-    elapsed: float
 
 
 class _Budget(Exception):
@@ -107,9 +105,8 @@ def edge_order(g: Graph) -> list[int]:
                 if not emitted[e]:
                     emitted[e] = True
                     order.append(e)
-                    got[u] += 1
-                    if not taken[u]:
-                        heapq.heappush(heap, (-got[u], len(inc[u]) - got[u], tri[u], u))
+                    got[u] += 1  # u is not taken: it would have emitted e
+                    heapq.heappush(heap, (-got[u], len(inc[u]) - got[u], tri[u], u))
     return order
 
 
@@ -289,11 +286,11 @@ def _assignment_to_coloring(g: Graph, groups, assignment, k) -> EdgeColoring:
     return EdgeColoring(tuple(colors), k)
 
 
-def _colored(g: Graph, col: EdgeColoring, nodes: int, start: float) -> SolveResult:
+def _colored(g: Graph, col: EdgeColoring, nodes: int) -> SolveResult:
     """COLORED with ``col``, once ``verify_coloring`` accepts it."""
     if not verify_coloring(g, col).valid:
         raise GraphError("exact search returned an invalid coloring (bug)")
-    return SolveResult(COLORED, col.k, col, nodes, time.perf_counter() - start)
+    return SolveResult(COLORED, col.k, col, nodes)
 
 
 def _search_levels(
@@ -301,7 +298,6 @@ def _search_levels(
 ) -> SolveResult:
     """Search each k of ``levels`` in order; ``node_budget`` covers all
     levels together.  Every level refuted gives status ``exhausted``."""
-    start = time.perf_counter()
     spent = 0
     for k in levels:
         left = None if node_budget is None else node_budget - spent
@@ -309,12 +305,11 @@ def _search_levels(
             assignment, nodes = search_groups(g, groups, k, pair_ok=pair_ok, node_budget=left)
         except _Budget:
             # the overrunning level counted left + 1 nodes before raising
-            elapsed = time.perf_counter() - start
-            return SolveResult(EXCEEDED_BUDGET, None, None, node_budget + 1, elapsed)
+            return SolveResult(EXCEEDED_BUDGET, None, None, node_budget + 1)
         spent += nodes
         if assignment is not None:
-            return _colored(g, _assignment_to_coloring(g, groups, assignment, k), spent, start)
-    return SolveResult(exhausted, None, None, spent, time.perf_counter() - start)
+            return _colored(g, _assignment_to_coloring(g, groups, assignment, k), spent)
+    return SolveResult(exhausted, None, None, spent)
 
 
 def check_budget(node_budget: int | None) -> None:
@@ -340,41 +335,17 @@ def chi_irr(g: Graph, k_max: int | None = None, node_budget: int | None = None) 
     if k_max is not None and k_max < 1:
         raise GraphError("k_max must be at least 1")
     check_budget(node_budget)
-    start = time.perf_counter()
     if g.m == 0:
-        return SolveResult(COLORED, 0, EdgeColoring((), 0), 0, time.perf_counter() - start)
+        return SolveResult(COLORED, 0, EdgeColoring((), 0), 0)
     if is_locally_irregular(g):
-        return _colored(g, EdgeColoring((1,) * g.m, 1), 0, start)
+        return _colored(g, EdgeColoring((1,) * g.m, 1), 0)
     bound = g.m // 2
     exhausted = NOT_DECOMPOSABLE if k_max is None or k_max >= bound else REFUTED
     if non_decomposable_reason(g) is not None:
-        return SolveResult(exhausted, None, None, 0, time.perf_counter() - start)
+        return SolveResult(exhausted, None, None, 0)
     groups = [(e,) for e in edge_order(g)]
     top = bound if exhausted == NOT_DECOMPOSABLE else k_max
     return _search_levels(g, groups, range(2, top + 1), None, node_budget, exhausted)
-
-
-@dataclass(frozen=True)
-class DecomposabilityCertificate:
-    decomposable: bool
-    coloring: EdgeColoring | None  # witness when decomposable
-    refuted_up_to: int | None  # sound bound exhausted when not
-    nodes: int
-
-
-def is_decomposable(g: Graph, node_budget: int | None = None) -> DecomposabilityCertificate:
-    """Decide decomposability through ``chi_irr``: a graph with an odd
-    path, an odd cycle or a member of T as an edge component is refuted
-    with no search node; any other simple graph is decomposable, witnessed
-    by the coloring the search finds.  A multigraph whose parallel edges
-    leave it in doubt is decided by exhaustive search up to floor(m/2)
-    colors."""
-    res = chi_irr(g, node_budget=node_budget)
-    if res.status == COLORED:
-        return DecomposabilityCertificate(True, res.coloring, None, res.nodes)
-    if res.status == EXCEEDED_BUDGET:
-        raise GraphError("node budget exhausted before decomposability was decided")
-    return DecomposabilityCertificate(False, None, g.m // 2, res.nodes)
 
 
 def element_uniform_search(

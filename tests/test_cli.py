@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -20,6 +21,8 @@ from locirr.irregularity import EdgeColoring
 
 C5 = write_graph6(cycle_graph(5))
 K10 = write_graph6(complete_graph(10))
+# sha256 of `locirr fig6`'s stdout
+FIG6_SHA256 = "b76c9b3f2eab41f803502d02d8a74142652a464b81aebcb64ba01e3eeb8a7a5d"
 
 
 def run(capsys, *argv):
@@ -426,6 +429,10 @@ class TestFigures:
         code, out, _ = run(capsys, "fig6")
         assert code == 0
         assert "refuted at 3" in out and "2-coloring" in out
+        # the whole stdout: one search up to 3 colors per decomposition
+        # must give the witnesses and coloring that a 2-color search and a
+        # 3-color search give apart
+        assert hashlib.sha256(out.encode()).hexdigest() == FIG6_SHA256
 
 
 class TestDotExport:

@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -14,10 +16,12 @@ from locirr.enumerate import (
     enumerate_graphs,
     enumerate_trees,
 )
-from locirr.graph import Graph, GraphError, canon_adjacency
+from locirr.graph import Graph, GraphError, canon_adjacency, write_graph6
 from locirr.harness import FAMILIES
 
 CONNECTED = GraphClassFilter()
+# sha256 of the cubic graph6 lines for n = 4, 6, ..., 12, newline-joined
+CUBIC_SHA256 = "e109cbbe80bb7cdd65ee941de100f0e344c5f15553f6ed5a0d5926266cec96ba"
 
 
 def label(g):
@@ -41,8 +45,13 @@ class TestCounts:
             assert oracles.count_classes_naive(labeled) == classes
 
     def test_cubic(self):
-        # OEIS A002851
-        assert [count(n, CUBIC) for n in (4, 6, 8, 10, 12)] == [1, 2, 5, 19, 85]
+        # OEIS A002851.  A regular family is min_degree == max_degree, with
+        # no prune rule of its own; the pin holds its graph6 lines in order
+        sizes = (4, 6, 8, 10, 12)
+        assert CUBIC == GraphClassFilter(min_degree=3, max_degree=3)
+        assert [count(n, CUBIC) for n in sizes] == [1, 2, 5, 19, 85]
+        lines = "\n".join(write_graph6(g) for n in sizes for g in enumerate_graphs(n, CUBIC))
+        assert hashlib.sha256(lines.encode()).hexdigest() == CUBIC_SHA256
 
     def test_connected_subcubic(self):
         # OEIS A112410
@@ -55,9 +64,13 @@ class TestCounts:
         flt = GraphClassFilter(bipartite=True, connected=True)
         assert [count(n, flt) for n in range(1, 9)] == [1, 1, 1, 3, 5, 17, 44, 182]
 
-    def test_cubic_odd_order_empty(self):
-        assert count(5, CUBIC) == 0
-        assert count(7, CUBIC) == 0
+    def test_cubic_odd_order_empty(self, monkeypatch):
+        # the handshake test returns before any graph is built
+        calls = []
+        monkeypatch.setattr(enum_mod, "_connected_masks", lambda *args: calls.append(args) or [])
+        for n in range(1, 14, 2):
+            assert count(n, GraphClassFilter(min_degree=3, max_degree=3)) == 0
+        assert calls == []
 
     def test_trees(self):
         assert [sum(1 for _ in enumerate_trees(n)) for n in range(1, 11)] == [
@@ -134,7 +147,7 @@ class TestStreamLaws:
                     g.degrees, default=0
                 )
                 >= 2,
-                GraphClassFilter(regular=3, connected=True): lambda g: g.n > 0
+                GraphClassFilter(min_degree=3, max_degree=3): lambda g: g.n > 0
                 and set(g.degrees) == {3},
                 GraphClassFilter(bipartite=True, connected=True): lambda g: g.bipartition()
                 is not None,
@@ -152,8 +165,6 @@ class TestStreamLaws:
         for n in range(1, 11 if name in ("cubic", "subcubic-min2") else 8):
             for g in enumerate_graphs(n, flt):
                 degs = g.degrees
-                if flt.regular is not None:
-                    assert set(degs) == {flt.regular}
                 if flt.min_degree is not None:
                     assert min(degs) >= flt.min_degree
                 if flt.max_degree is not None:
@@ -167,8 +178,10 @@ class TestStreamLaws:
                 assert t.n == n and t.m == n - 1 and t.is_connected()
 
 
-# (n values, bounds(n) -> (lo, hi, regular, bipartite_only)) per family, as
-# enumerate_graphs hands them to _connected_masks
+# (n values, bounds(n) -> (lo, hi, regular, bipartite_only)) per family:
+# enumerate_graphs hands (lo, hi, bipartite_only) to _connected_masks, and
+# the reference also gets ``regular``, which switches on its three extra
+# prune rules for a regular family
 MASK_FAMILIES = {
     "cubic": (range(4, 13, 2), lambda n: (3, 3, True, False)),
     "subcubic-min2": (range(1, 10), lambda n: (2, 3, False, False)),
@@ -189,8 +202,9 @@ class TestReferenceEnumerator:
         sizes, bounds = MASK_FAMILIES[name]
         for n in sizes:
             kept_from = []
+            lo, hi, regular, bipartite_only = bounds(n)
             want = oracles.reference_connected_masks(n, *bounds(n), kept_from=kept_from)
-            assert _connected_masks(n, *bounds(n)) == want, f"{name} n={n}"
+            assert _connected_masks(n, lo, hi, bipartite_only) == want, f"{name} n={n}"
             # the subset sizes 2 .. top-1 the level loop skips hold no
             # child the reference keeps
             for parent, subset in kept_from:
@@ -282,22 +296,22 @@ class TestPrune:
         # The rules for a full last vertex hold for any hi, so families with
         # hi = 4 and hi = n - 1 are checked too
         families = (
-            (CUBIC, range(4, 13, 2), lambda n: (3, 3, True)),
-            (SUBCUBIC_MIN2, range(2, 11), lambda n: (2, 3, False)),
-            (SUBCUBIC, range(2, 10), lambda n: (1, 3, False)),
-            (GraphClassFilter(regular=4), range(5, 11), lambda n: (4, 4, True)),
-            (GraphClassFilter(min_degree=3, max_degree=4), range(4, 9), lambda n: (3, 4, False)),
-            (CONNECTED, range(2, 8), lambda n: (1, n - 1, False)),
+            (CUBIC, range(4, 13, 2), lambda n: (3, 3)),
+            (SUBCUBIC_MIN2, range(2, 11), lambda n: (2, 3)),
+            (SUBCUBIC, range(2, 10), lambda n: (1, 3)),
+            (GraphClassFilter(min_degree=4, max_degree=4), range(5, 11), lambda n: (4, 4)),
+            (GraphClassFilter(min_degree=3, max_degree=4), range(4, 9), lambda n: (3, 4)),
+            (CONNECTED, range(2, 8), lambda n: (1, n - 1)),
         )
         for flt, sizes, bounds in families:
             for n in sizes:
-                lo, hi, regular = bounds(n)
+                lo, hi = bounds(n)
                 for g in enumerate_graphs(n, flt):
                     masks = g.adjacency_masks
                     for k in range(1, n + 1):
                         prefix = [m & ((1 << k) - 1) for m in masks[:k]]
                         degs = [m.bit_count() for m in prefix]
-                        assert _prune(prefix, degs, n, lo, hi, regular), (g, k)
+                        assert _prune(prefix, degs, n, lo, hi), (g, k)
 
     def test_room_bound(self):
         # a 5-cycle with two chords has degrees 3,3,3,3,2: one more vertex
@@ -306,7 +320,7 @@ class TestPrune:
         degs = [m.bit_count() for m in prefix]
         assert degs == [3, 3, 3, 3, 2]
         assert oracles.reference_prune(prefix, degs, 6, 3, 3, True)
-        assert not _prune(prefix, degs, 6, 3, 3, True)
+        assert not _prune(prefix, degs, 6, 3, 3)
 
     @pytest.mark.parametrize(
         "prefix,n",
@@ -327,7 +341,7 @@ class TestPrune:
     def test_full_last_vertex(self, prefix, n):
         degs = [m.bit_count() for m in prefix]
         assert oracles.reference_prune(prefix, degs, n, 3, 3, True)
-        assert not _prune(prefix, degs, n, 3, 3, True)
+        assert not _prune(prefix, degs, n, 3, 3)
 
 
 class TestFilterValidation:
@@ -335,15 +349,11 @@ class TestFilterValidation:
         with pytest.raises(GraphError):
             GraphClassFilter(min_degree=4, max_degree=3)
         with pytest.raises(GraphError):
-            GraphClassFilter(regular=3, max_degree=2)
-        with pytest.raises(GraphError):
             GraphClassFilter(connected=False)
 
-    @pytest.mark.parametrize(
-        "name,bound", [("max_degree", -1), ("min_degree", -1), ("regular", -2)]
-    )
+    @pytest.mark.parametrize("name,bound", [("max_degree", -1), ("min_degree", -1)])
     def test_negative_degree_bound(self, name, bound):
-        # these once enumerated nothing (max_degree, regular) or ran as if
-        # the bound were 0 (min_degree)
+        # these once enumerated nothing (max_degree) or ran as if the bound
+        # were 0 (min_degree)
         with pytest.raises(GraphError):
             GraphClassFilter(**{name: bound})

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "locirr"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "locirr"
+# public builders that only the tests call: kept for building test graphs
+TEST_BUILDERS = {"path_graph", "complete_graph", "star_graph"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,17 +41,21 @@ def names_read(node) -> Counter:
     return read
 
 
-def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes (one leading underscore)
-    that no module of ``sources`` refers to outside their own definition."""
+def unreferenced_defs(sources: dict[str, str], private: bool, users=()) -> list[str]:
+    """Module-level functions and classes of ``sources``, the private ones
+    (one leading underscore) or the public ones, that neither a module of
+    ``sources`` nor a source in ``users`` refers to outside their own
+    definition."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = sum((names_read(tree) for tree in trees.values()), Counter())
+    for source in users:
+        read += names_read(ast.parse(source))
     return [
         f"{name} line {node.lineno}: {node.name}"
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
         and not node.name.startswith("__")
         and read[node.name] == names_read(node)[node.name]
     ]
@@ -75,7 +82,19 @@ def test_unused_import_is_caught():
 
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_defs(sources, private=True) == []
+
+
+def test_no_unreferenced_public_definitions():
+    # a public name must serve the library, the CLI, the bench, a script or
+    # an acceptance criterion; a re-export in __init__.py alone is no use
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    users = [
+        p.read_text()
+        for p in [*ROOT.glob("bench/*.py"), *ROOT.glob("scripts/*.py"), ROOT / "tests" / "test_acceptance.py"]
+    ]
+    unused = unreferenced_defs(sources, private=False, users=users)
+    assert [u for u in unused if u.split(": ")[1] not in TEST_BUILDERS] == []
 
 
 def test_unreferenced_private_definition_is_caught():
@@ -89,10 +108,27 @@ def test_unreferenced_private_definition_is_caught():
         ),
         "b.py": "from a import _kept\n",
     }
-    assert unreferenced_private_defs(sources) == [
+    assert unreferenced_defs(sources, private=True) == [
         "a.py line 3: _dead",
         "a.py line 5: _Dead",
         "a.py line 7: _recursive",
+    ]
+
+
+def test_unreferenced_public_definition_is_caught():
+    sources = {
+        "a.py": (
+            "def kept():\n    pass\n"
+            "def used_by_user():\n    pass\n"
+            "def dead():\n    pass\n"
+            "class Dead:\n    pass\n"
+            "def _private():\n    return kept()\n"
+        ),
+    }
+    users = ["from a import used_by_user\n"]
+    assert unreferenced_defs(sources, private=False, users=users) == [
+        "a.py line 5: dead",
+        "a.py line 7: Dead",
     ]
 
 

@@ -44,7 +44,6 @@ from locirr.solver import (
     edge_order,
     element_uniform_search,
     in_edge_order,
-    is_decomposable,
     search_groups,
     shared_vertices,
 )
@@ -405,21 +404,6 @@ class TestChiIrr:
         assert (a.k, a.coloring, a.nodes) == (b.k, b.coloring, b.nodes)
 
 
-class TestDecomposability:
-    def test_c5_refuted(self):
-        cert = is_decomposable(cycle_graph(5))
-        assert not cert.decomposable
-        assert cert.refuted_up_to == 2 and cert.coloring is None
-
-    def test_c4_witness(self):
-        cert = is_decomposable(cycle_graph(4))
-        assert cert.decomposable
-        assert verify_coloring(cycle_graph(4), cert.coloring).valid
-
-    def test_k4(self):
-        assert is_decomposable(complete_graph(4)).decomposable
-
-
 def _search_decomposable(g: Graph) -> bool:
     """Decomposability by the exhaustive single-edge search to floor(m/2)
     colors, the bound past which no coloring can exist."""
@@ -565,10 +549,8 @@ class TestNonDecomposableRule:
         assert g.m >= 10_000
         start = time.perf_counter()
         res = chi_irr(g)
-        cert = is_decomposable(g)
         assert time.perf_counter() - start < 1.0
         assert (res.status, res.nodes) == (NOT_DECOMPOSABLE, 0)
-        assert not cert.decomposable and cert.refuted_up_to == g.m // 2 and cert.nodes == 0
 
     def test_locally_irregular_graph_needs_no_search(self):
         g = star_graph(4)
