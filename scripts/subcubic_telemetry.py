@@ -12,9 +12,8 @@ import sys
 import time
 
 from locirr.constructive import SubcubicStats, color_subcubic_4
-from locirr.decompose import strongly_pertinent_decomposition
+from locirr.decompose import DecompositionError, strongly_pertinent_decomposition
 from locirr.enumerate import SUBCUBIC, enumerate_graphs
-from locirr.solver import COLORED, chi_irr
 
 
 def main() -> int:
@@ -30,10 +29,14 @@ def main() -> int:
     for n in range(1, args.max_n + 1):
         level = 0
         for g in enumerate_graphs(n, SUBCUBIC):
-            if g.m == 0 or chi_irr(g).status != COLORED:
+            if g.m == 0:
                 continue
+            try:
+                d = strongly_pertinent_decomposition(g)
+            except DecompositionError:
+                continue  # not decomposable
             stats = SubcubicStats()
-            col = color_subcubic_4(g, strongly_pertinent_decomposition(g), stats=stats)
+            col = color_subcubic_4(g, d, stats=stats)
             graphs += 1
             level += 1
             max_k = max(max_k, col.k)

@@ -196,25 +196,17 @@ def color_balanced_forest_2(f: Graph, b: Bipartition) -> EdgeColoring:
 
 
 def _exact_edge_color(g: Graph, k: int, budget: int):
-    """Backtracking proper k-edge-coloring; None on refutation or budget.
-
-    The budget counts accepted colors only.  Counting the rejected ones too
-    would shrink it on dense graphs, where most colors are taken at an edge,
-    and the search would give up on max-degree colorings it can find."""
+    """Backtracking proper k-edge-coloring; None on refutation or once
+    ``backtrack`` has tried more than ``budget`` colors."""
     order = edge_order(g)
     ends = [g.edges[e] for e in order]
     taken = [0] * g.n  # bit c set: color c is on an edge at the vertex
-    accepted = 0
 
     def place(i, c):
-        nonlocal accepted
         u, v = ends[i]
         bit = 1 << c
         if (taken[u] | taken[v]) & bit:
             return False
-        accepted += 1
-        if accepted > budget:
-            raise _Budget
         taken[u] |= bit
         taken[v] |= bit
         return True
@@ -225,7 +217,7 @@ def _exact_edge_color(g: Graph, k: int, budget: int):
         taken[v] ^= 1 << c
 
     try:
-        assignment, _ = backtrack(len(order), k, place, unplace)
+        assignment, _ = backtrack(len(order), k, place, unplace, budget)
     except _Budget:
         return None
     if assignment is None:

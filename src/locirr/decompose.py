@@ -247,8 +247,9 @@ def _reject_odd_component(g: Graph, comp: list[int]) -> list[Element]:
 
 def non_decomposable_reason(g: Graph) -> str | None:
     """Why ``g`` has no locally irregular decomposition: "odd path", "odd
-    cycle" or "member of T", for its first non-decomposable edge component
-    in vertex order; None when every simple component decomposes.
+    cycle" or "member of T", for its first non-decomposable component in
+    the order of ``Graph.components`` (by least vertex), isolated vertices
+    skipped; None when every simple component decomposes.
 
     Baudon, Bensmail, Przybyło & Woźniak (European J. Combin. 49, 2015)
     show that the connected non-decomposable graphs are the odd paths, the
@@ -261,7 +262,7 @@ def non_decomposable_reason(g: Graph) -> str | None:
     a triangle ends at a leaf after an even number of edges or at another
     triangle after an odd number.  Each of these graphs has a vertex of
     degree 1 or 2, so a graph with none is settled by one scan of its
-    degrees.  Iterative, O(n + m).
+    degrees.  Iterative, O(m + n log n).
 
     The theorem is for simple graphs, and the 2-cycle is not decomposable
     either.  A component with parallel edges is never flagged: it is the
@@ -272,18 +273,9 @@ def non_decomposable_reason(g: Graph) -> str | None:
     deg = g.degrees
     if 1 not in deg and 2 not in deg:
         return None
-    inc = g.incidence
-    seen = bytearray(g.n)
-    for s in range(g.n):
-        if seen[s] or not deg[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        for v in comp:  # grows while it is walked
-            for _, u in inc[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    comp.append(u)
+    for comp in g.components():
+        if not deg[comp[0]]:
+            continue  # an isolated vertex has no edge to decompose
         top = max(deg[v] for v in comp)
         size = sum(deg[v] for v in comp) // 2
         if top <= 2 and size % 2:
@@ -293,7 +285,7 @@ def non_decomposable_reason(g: Graph) -> str | None:
     return None
 
 
-def _in_t(g: Graph, comp: list[int], size: int) -> bool:
+def _in_t(g: Graph, comp: tuple[int, ...], size: int) -> bool:
     """Whether the connected component with vertices ``comp``, ``size``
     edges and maximum degree 3 is in T, by the rule of
     ``non_decomposable_reason``."""

@@ -3,25 +3,27 @@
 Connected graphs are built one vertex at a time (every prefix connected),
 pruned by the filter's degree range [lo, hi].  A regular family is lo == hi
 and has no rule of its own beyond the handshake test: an odd n * hi yields
-nothing, before any graph is built.  Duplicates are never made: a child is
-kept only when its new vertex is the canonically chosen one to delete
-(McKay's canonical construction path).  Each parent does its invariant work
-once (see ``_connected_masks``): it tries one neighbor subset per orbit of
-its automorphism group, under the generators its own labeling returned, and
-one lowpoint pass (``_cut_parts``) gives its cut structure, which tells
-every child's non-cut vertices and the subset sizes that cannot give a
-canonical child.  Each child is rejected by the first of four tests,
-cheapest first, that decides: the degrees of the non-cut vertices against
-the new vertex's, the sorted neighbor degrees of those of equal degree, the
-cell order of ``graph.equitable_partition``, and the cell order of its
-``graph.distance_split``, the root partition.  The two partitions are passed
-the new vertex and its tied vertices, and stop refining as soon as a tied
-vertex falls in a later cell.  A child that passes all four is decided by
-the automorphism orbits from ``graph.canon_adjacency``, whose search starts
-from that root partition; the same call gives the generators the child keeps
-as a parent.  A child on the last level keeps no generators, so when no
-non-cut vertex ties with its new vertex after the first two tests, it is
-accepted unlabeled.
+nothing, before any graph is built.  A bipartite family keeps a child only
+when its new vertex's neighbors lie on one side of the parent, whose sides
+are fixed up to a swap: every kept parent is connected and bipartite.
+Duplicates are never made: a child is kept only when its new vertex is the
+canonically chosen one to delete (McKay's canonical construction path).
+Each parent does its invariant work once (see ``_connected_masks``): it
+tries one neighbor subset per orbit of its automorphism group, under the
+generators its own labeling returned, and one lowpoint pass (``_cut_parts``)
+gives its cut structure, which tells every child's non-cut vertices and the
+subset sizes that cannot give a canonical child.  Each child is rejected by
+the first of four tests, cheapest first, that decides: the degrees of the
+non-cut vertices against the new vertex's, the sorted neighbor degrees of
+those of equal degree, the cell order of ``graph.equitable_partition``, and
+the cell order of its ``graph.distance_split``, the root partition.  The two
+partitions are passed the new vertex and its tied vertices, and stop
+refining as soon as a tied vertex falls in a later cell.  A child that
+passes all four is decided by the automorphism orbits from
+``graph.canon_adjacency``, whose search starts from that root partition; the
+same call gives the generators the child keeps as a parent.  A child on the
+last level keeps no generators, so when no non-cut vertex ties with its new
+vertex after the first two tests, it is accepted unlabeled.
 
 The deletion rule also bounds what can come after a prefix (see
 ``_prune``).  A full last vertex stays non-cut and outranks any later vertex
@@ -70,29 +72,6 @@ class GraphClassFilter:
 CUBIC = GraphClassFilter(min_degree=3, max_degree=3)
 SUBCUBIC_MIN2 = GraphClassFilter(max_degree=3, min_degree=2)
 SUBCUBIC = GraphClassFilter(max_degree=3)
-
-
-def _is_bipartite_masks(masks) -> bool:
-    n = len(masks)
-    side = [-1] * n
-    for s in range(n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            mv = masks[v]
-            while mv:
-                low = mv & -mv
-                u = low.bit_length() - 1
-                mv ^= low
-                if side[u] < 0:
-                    side[u] = 1 - side[v]
-                    stack.append(u)
-                elif side[u] == side[v]:
-                    return False
-    return True
 
 
 def _prune(masks, degs, n: int, lo: int, hi: int) -> bool:
@@ -311,6 +290,9 @@ def _connected_masks(n: int, lo: int, hi: int, bipartite_only: bool):
       every child whose new vertex has two or more neighbors, and outranks
       a new vertex of lower degree, so the subset sizes 2 .. top-1 are
       never tried.
+    - Sides.  With ``bipartite_only``, the parent's ``Graph.bipartition``
+      gives its side mask ``left`` once; a child is bipartite iff its new
+      vertex's neighbors avoid one side.
 
     An accepted child keeps the generators its labeling found; they act on
     its vertex ids when it becomes a parent."""
@@ -325,6 +307,8 @@ def _connected_masks(n: int, lo: int, hi: int, bipartite_only: bool):
             parts = _cut_parts(masks)
             top = max(degs[v] for v in range(k) if len(parts[v]) < 2)
             met: set[int] = set()  # the subsets of every orbit met so far
+            if bipartite_only:
+                left = sum(1 << v for v in _masks_to_graph(masks).bipartition()[0])
             max_d = min(hi, len(eligible))
             for d in [1, *range(max(2, top), max_d + 1)]:
                 for subset in combinations(eligible, d):
@@ -349,8 +333,8 @@ def _connected_masks(n: int, lo: int, hi: int, bipartite_only: bool):
                     cdegs = [m.bit_count() for m in child]
                     if not _prune(child, cdegs, n, lo, hi):
                         continue
-                    if bipartite_only and not _is_bipartite_masks(child):
-                        continue
+                    if bipartite_only and new_mask & left and new_mask & ~left:
+                        continue  # the new vertex joins both sides
                     child_gens = _canonical_child(child, cdegs, parts, k == n - 1)
                     if child_gens is not None:
                         kept.append((tuple(child), child_gens))

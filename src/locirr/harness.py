@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -16,7 +18,7 @@ from .decompose import (
 )
 from .enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, GraphClassFilter
 from .enumerate import enumerate_graphs, enumerate_trees
-from .graph import Graph, GraphError, cube_graph, json_int, parse_graph6, write_graph6
+from .graph import Graph, GraphError, cube_graph, json_int, write_graph6
 from .solver import (
     COLORED,
     EXCEEDED_BUDGET,
@@ -113,11 +115,6 @@ def _classify(g: Graph, bound: int, method: str, node_budget: int | None):
             return ("skip", 0)
         k = color_subcubic_4(g, d).k
     return ("exceeder" if k > bound else "ok", k)
-
-
-def _worker(args):
-    g6, bound, method, node_budget = args
-    return (g6, *_classify(parse_graph6(g6), bound, method, node_budget))
 
 
 def _count_table(value) -> dict[int, int]:
@@ -218,35 +215,34 @@ def run_campaign(
         check_output_dir(checkpoint, "checkpoint")
         start_n = _load_checkpoint(checkpoint, params, report) + 1
     t0 = time.perf_counter()
-    for n in range(start_n, n_max + 1):
-        graphs = list(enumerate_graphs(n, flt))
-        if jobs > 1 and len(graphs) > 1:
-            tasks = [(write_graph6(g), bound, method, node_budget) for g in graphs]
-            with multiprocessing.Pool(jobs) as pool:
-                results = pool.map(_worker, tasks, chunksize=8)
-        else:
-            results = [(write_graph6(g), *_classify(g, bound, method, node_budget)) for g in graphs]
-        spent = [g6 for g6, kind, _ in results if kind == "budget"]
-        if spent:
-            # drop the whole level: a partially counted level would be
-            # double-counted on resume
-            message = f"campaign aborted at n={n}: node budget hit on {min(spent)}"
+    # one pool for the whole campaign; jobs=1 classifies in this process
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        starmap = itertools.starmap if pool is None else pool.starmap
+        for n in range(start_n, n_max + 1):
+            graphs = list(enumerate_graphs(n, flt))
+            tasks = [(g, bound, method, node_budget) for g in graphs]
+            results = list(starmap(_classify, tasks))
+            spent = [write_graph6(g) for g, (kind, _) in zip(graphs, results) if kind == "budget"]
+            if spent:
+                # drop the whole level: a partially counted level would be
+                # double-counted on resume
+                message = f"campaign aborted at n={n}: node budget hit on {min(spent)}"
+                if checkpoint:
+                    _save_checkpoint(checkpoint, params, n - 1, report)
+                    message += f"; checkpoint holds n<{n}"
+                raise BudgetExhausted(message)
+            for g, (kind, k) in zip(graphs, results):
+                if kind == "skip":
+                    report.non_decomposable[n] = report.non_decomposable.get(n, 0) + 1
+                else:
+                    report.per_n[n] = report.per_n.get(n, 0) + 1
+                    report.histogram[k] = report.histogram.get(k, 0) + 1
+                    if kind == "exceeder":
+                        report.exceeders.append(write_graph6(g))
             if checkpoint:
-                _save_checkpoint(checkpoint, params, n - 1, report)
-                message += f"; checkpoint holds n<{n}"
-            raise BudgetExhausted(message)
-        for g6, kind, k in results:
-            if kind == "skip":
-                report.non_decomposable[n] = report.non_decomposable.get(n, 0) + 1
-            else:
-                report.per_n[n] = report.per_n.get(n, 0) + 1
-                report.histogram[k] = report.histogram.get(k, 0) + 1
-                if kind == "exceeder":
-                    report.exceeders.append(g6)
-        if checkpoint:
-            _save_checkpoint(checkpoint, params, n, report)
-        if progress is not None:
-            progress(n, len(graphs))
+                _save_checkpoint(checkpoint, params, n, report)
+            if progress is not None:
+                progress(n, len(graphs))
     report.exceeders = sorted(report.exceeders)
     report.elapsed = time.perf_counter() - t0
     return report

@@ -6,9 +6,9 @@ earlier, slower forms of package code.  ``reference_refine`` is the
 earlier partition refinement, which splits every cell by every splitter and
 refines to the end.  The reference enumerator at the end is the earlier
 rejection order of the canonical construction path, run on the package's
-labeler and its bipartite test.  The reference
-closure search runs on ``reference_backtrack``, a recursive search of its
-own, so the package's engine is checked against independent code.
+labeler, with each child's bipartite test by ``Graph.bipartition``.  The
+reference closure search runs on ``reference_backtrack``, a recursive search
+of its own, so the package's engine is checked against independent code.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from locirr.enumerate import _is_bipartite_masks
+from locirr.enumerate import _masks_to_graph
 from locirr.graph import Graph, canon_adjacency, root_partition
 from locirr.solver import _Budget
 
@@ -494,7 +494,7 @@ def reference_connected_masks(n, lo, hi, regular, bipartite_only, kept_from=None
                     cdegs = [m.bit_count() for m in child]
                     if not reference_prune(child, cdegs, n, lo, hi, regular):
                         continue
-                    if bipartite_only and not _is_bipartite_masks(child):
+                    if bipartite_only and _masks_to_graph(child).bipartition() is None:
                         continue
                     key = reference_canonical_child(child, cdegs)
                     if key is not None and key not in keys:

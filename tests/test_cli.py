@@ -67,6 +67,8 @@ class TestChiIrr:
         path.write_text(f"C~\n{write_graph6(cycle_graph(4))}\n")
         code, out, _ = run(capsys, "chi-irr", str(path))
         assert code == 0 and out.count("chi-irr=") == 2
+        code, out, err = run(capsys, "verify", str(path), '{"k": 1, "colors": [1]}')
+        assert (code, out) == (3, "") and "expected a single graph, got 2" in err
 
     def test_json_graph(self, capsys):
         spec = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "multigraph": False})
@@ -221,6 +223,7 @@ class TestPipelines:
                 "export-dot", "C~", "--decomposition",
                 '{"elements": [{"edges": [0.9, 2]}, {"edges": [1, 3]}, {"edges": [4, 5]}]}',
             ),
+            ("verify", "C~", '{"k": 2, "colors": [1, 1, 1, 1, 1, 3]}'),  # a color past k
         ],
     )
     def test_malformed_json_is_input_error(self, capsys, argv):
@@ -234,6 +237,16 @@ class TestPipelines:
             ("color", "C~", "--method", "forest2", "--even-side", "a"),
             ("color", "C~", "--method", "balanced4", "--even-side", "0,1.5"),
             ("color", ".", "--method", "parity", "--signature", "0000"),
+            ("color", "C~", "--method", "forest2"),
+            # vertex 9 of a 5-vertex path: the sides do not cover the vertex set
+            ("color", write_graph6(path_graph(4)), "--method", "forest2", "--even-side", "1,3,9"),
+            ("color", "C~", "--method", "parity", "--signature", "1111", "--k-max", "0"),
+            # two disjoint 4-cycles with a balanced side: balanced4 needs a connected graph
+            (
+                "color",
+                '{"n": 8, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [4, 5], [5, 6], [6, 7], [4, 7]]}',
+                "--method", "balanced4", "--even-side", "0,2,4,6",
+            ),
         ],
     )
     def test_malformed_option_is_input_error(self, capsys, argv):
@@ -387,9 +400,10 @@ class TestCampaignCli:
             lambda body: body.update(per_n={"x": 1}),
             lambda body: body.update(done_n=5),  # past --max-n 4
             lambda body: body.update(exceeders=[1]),
+            lambda body: body.update(per_n=[1]),
         ],
         ids=["done_n-string", "per_n-missing", "per_n-bad-key", "done_n-past-max-n",
-             "exceeders-not-strings"],
+             "exceeders-not-strings", "per_n-not-object"],
     )
     def test_checkpoint_malformed_body(self, capsys, tmp_path, edit):
         # version and params match, so the body is read, and rejected
@@ -448,3 +462,11 @@ class TestDotExport:
     def test_deterministic(self):
         g = parse_graph6("C~")
         assert export_dot(g) == export_dot(g)
+
+    def test_claw_elements_dashed(self, capsys):
+        # a star with 3 edges decomposes into one claw, drawn dashed
+        claw = write_graph6(Graph(4, ((0, 1), (0, 2), (0, 3))))
+        code, out, _ = run(capsys, "decompose", claw, "--mode", "pertinent")
+        assert code == 0
+        code, out, _ = run(capsys, "export-dot", claw, "--decomposition", out)
+        assert code == 0 and out.count('style="dashed"') == 3

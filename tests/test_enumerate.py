@@ -349,6 +349,10 @@ class TestFilterValidation:
         with pytest.raises(GraphError):
             GraphClassFilter(min_degree=4, max_degree=3)
         with pytest.raises(GraphError):
+            GraphClassFilter(min_degree=3, max_degree=2)
+        with pytest.raises(GraphError):
+            list(enumerate_graphs(-1, GraphClassFilter()))
+        with pytest.raises(GraphError):
             GraphClassFilter(connected=False)
 
     @pytest.mark.parametrize("name,bound", [("max_degree", -1), ("min_degree", -1)])

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -33,6 +34,13 @@ from locirr.graph import _refine, _vertices
 def _from_nx(h: nx.Graph) -> Graph:
     h = nx.convert_node_labels_to_integers(h)
     return Graph(h.number_of_nodes(), tuple(sorted(tuple(sorted(e)) for e in h.edges())))
+
+
+@functools.cache
+def _atlas() -> list[tuple[nx.Graph, Graph]]:
+    """Every graph of the networkx atlas (1,253 graphs on at most 7
+    vertices, disconnected ones included), with its Graph."""
+    return [(h, _from_nx(h)) for h in nx.graph_atlas_g()]
 
 
 def _relabeled(g: Graph, perm: list[int]) -> Graph:
@@ -90,11 +98,23 @@ class TestGraphInvariants:
         assert g.components() == [(0, 1, 2), (3, 4)]
         assert not g.is_connected()
         assert cycle_graph(4).is_connected()
+        for h, g in _atlas():
+            want = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+            assert g.components() == want, write_graph6(g)
 
     def test_bipartition(self):
         sides = cycle_graph(6).bipartition()
         assert sides is not None and sorted(map(len, sides)) == [3, 3]
         assert cycle_graph(5).bipartition() is None
+        for h, g in _atlas():
+            sides = g.bipartition()
+            assert (sides is None) == (not nx.is_bipartite(h)), write_graph6(g)
+            if sides is None:
+                continue
+            assert sorted(sides[0] + sides[1]) == list(range(g.n))
+            side = {v: i for i, part in enumerate(sides) for v in part}
+            assert all(side[u] != side[v] for u, v in g.edges)
+            assert all(side[comp[0]] == 0 for comp in g.components())
 
     def test_json_round_trip(self):
         g = Graph(3, ((0, 1), (0, 1), (1, 2)), multigraph=True)

@@ -106,18 +106,24 @@ class TestCampaign:
 
     def test_budget_names_first_graph_in_graph6_order(self):
         # at n=4 the budget runs out on Cu, Cr, Cv and C~, in enumeration order
-        with pytest.raises(BudgetExhausted) as info:
-            run_campaign("all", 4, 3, node_budget=5)
-        assert str(info.value) == "campaign aborted at n=4: node budget hit on Cr"
+        for jobs in (1, 2):
+            with pytest.raises(BudgetExhausted) as info:
+                run_campaign("all", 4, 3, jobs=jobs, node_budget=5)
+            assert str(info.value) == "campaign aborted at n=4: node budget hit on Cr"
 
     def test_budget_message_names_checkpoint(self, tmp_path):
-        ckpt = str(tmp_path / "campaign.json")
-        with pytest.raises(BudgetExhausted) as info:
-            run_campaign("all", 4, 3, checkpoint=ckpt, node_budget=5)
-        assert str(info.value) == (
-            "campaign aborted at n=4: node budget hit on Cr; checkpoint holds n<4"
-        )
-        assert json.loads(open(ckpt).read())["done_n"] == 3
+        # the same message and checkpoint in this process and under a pool
+        texts = []
+        for jobs in (1, 2):
+            ckpt = str(tmp_path / f"campaign-{jobs}.json")
+            with pytest.raises(BudgetExhausted) as info:
+                run_campaign("all", 4, 3, jobs=jobs, checkpoint=ckpt, node_budget=5)
+            assert str(info.value) == (
+                "campaign aborted at n=4: node budget hit on Cr; checkpoint holds n<4"
+            )
+            texts.append(open(ckpt).read())
+            assert json.loads(texts[-1])["done_n"] == 3
+        assert texts[0] == texts[1]
 
     def test_checkpoint_ignored_on_parameter_change(self, tmp_path):
         ckpt = str(tmp_path / "campaign.json")

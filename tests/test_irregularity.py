@@ -51,6 +51,10 @@ class TestVerify:
     def test_partial_rejected(self):
         with pytest.raises(GraphError):
             verify_coloring(C4, EdgeColoring((1, 1, 2), 2))
+        # a color outside 1..k is rejected when the coloring is made
+        for colors, k in (((1, 1, 2, 3), 2), ((0, 1, 1, 1), 1)):
+            with pytest.raises(GraphError, match="outside"):
+                EdgeColoring(colors, k)
 
     def test_violations_sorted_and_deduplicated(self):
         report = verify_coloring(C4, EdgeColoring((1, 1, 1, 1), 1))
