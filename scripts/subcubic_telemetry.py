@@ -13,7 +13,7 @@ import time
 
 from locirr.constructive import SubcubicStats, color_subcubic_4
 from locirr.decompose import DecompositionError, strongly_pertinent_decomposition
-from locirr.enumerate import SUBCUBIC, enumerate_graphs
+from locirr.enumerate import SUBCUBIC, enumerate_graphs, enumeration_walk
 
 
 def main() -> int:
@@ -26,9 +26,11 @@ def main() -> int:
     graphs = fallback_graphs = 0
     max_k = 0
     t0 = time.perf_counter()
-    for n in range(1, args.max_n + 1):
+    sizes = range(1, args.max_n + 1)
+    walk = enumeration_walk(SUBCUBIC, sizes)  # one tree for every n
+    for n in sizes:
         level = 0
-        for g in enumerate_graphs(n, SUBCUBIC):
+        for g in enumerate_graphs(n, SUBCUBIC, walk):
             if g.m == 0:
                 continue
             try:

@@ -33,6 +33,16 @@ is the largest possible, so every later vertex must make all its neighbors
 full, and only vertices one short of full take later edges (rule 2).  A
 prefix whose room cannot meet these has no descendant of the target size
 and is dropped; since no table spans parents, the output is unchanged.
+
+A target size only prunes the tree, so one walk serves many sizes
+(``enumeration_walk``): it keeps a prefix while some larger target can still
+be reached from it and hands each n its level, built when n is asked for.
+Every n gets the graphs, and the order, of a walk for n alone.  A regular
+family gains little from it: its trees for different n share almost no
+prefix (cubic n <= 12 took about 5% less time in one walk on a shared
+2-vCPU host), and one walk would move each larger n's prefix work into a
+smaller n's level.  So campaigns walk such a family once per n (see
+``harness.run_campaign``).
 """
 
 from __future__ import annotations
@@ -269,9 +279,13 @@ def _image(s: int, perm) -> int:
     return out
 
 
-def _connected_masks(n: int, lo: int, hi: int, bipartite_only: bool):
-    """All connected graphs on exactly n >= 1 vertices with final degrees in
-    [lo, hi], as mask tuples.
+def _connected_masks(bounds: dict[int, tuple[int, int]], bipartite_only: bool):
+    """One walk of the construction tree for every target size of
+    ``bounds``: for each n in ascending order, yield n and the connected
+    graphs on exactly n >= 1 vertices with final degrees in bounds[n] =
+    (lo, hi), as a list of mask tuples.  Each n is yielded once its level is
+    built, so the levels above it are built only when the caller asks for
+    the next n.
 
     Canonical construction path (McKay 1998): every graph is built from its
     canonical parent only, the graph minus its canonical non-cut vertex, so
@@ -295,12 +309,40 @@ def _connected_masks(n: int, lo: int, hi: int, bipartite_only: bool):
       vertex's neighbors avoid one side.
 
     An accepted child keeps the generators its labeling found; they act on
-    its vertex ids when it becomes a parent."""
-    level: list[tuple[tuple[int, ...], tuple]] = [((0,), ())]
-    if not _prune(level[0][0], [0], n, lo, hi):
-        level = []
-    for k in range(1, n):
+    its vertex ids when it becomes a parent.
+
+    The targets share one tree.  A parent's children depend on that parent
+    alone, and a target only prunes, so the unpruned tree is the same for
+    every n.  A prefix is kept while some larger target can still be
+    reached from it (``_prune`` against that target's own bounds, the
+    largest target first), and n's graphs are the children on n vertices
+    that pass n's final test, ``_prune`` with no vertex left to add.  A
+    graph that passes it has every prefix pass n's prune, since ``_prune``
+    drops only prefixes with no descendant on n vertices.  So each n gets
+    exactly the graphs, in the same order, of a walk for n alone, and a
+    single target makes the same calls as that walk.  The one flag a target
+    sets, ``last``, holds for a child from which no larger target can be
+    reached.  Children are made under the largest hi: the his are all
+    equal, or each is n - 1 (no degree bound), and then a parent on k < n
+    vertices has every vertex below hi for each target n it can reach."""
+    sizes = sorted(bounds)
+    hi = max(h for _, h in bounds.values())
+
+    def larger(k):
+        # (n, lo, hi) of each target above k vertices, the largest first
+        return [(n, *bounds[n]) for n in reversed(sizes) if n > k]
+
+    root, degs = (0,), [0]
+    level: list[tuple[tuple[int, ...], tuple]] = []
+    if any(_prune(root, degs, *target) for target in larger(1)):
+        level.append((root, ()))
+    if 1 in bounds:
+        yield 1, [root] if _prune(root, degs, 1, *bounds[1]) else []
+    for k in range(1, sizes[-1]):
+        final = bounds.get(k + 1)  # the bounds of a target on k + 1 vertices
+        targets = larger(k + 1)
         kept: list[tuple[tuple[int, ...], tuple]] = []
+        found: list[tuple[int, ...]] = []
         for masks, gens in level:
             degs = [m.bit_count() for m in masks]
             eligible = [v for v in range(k) if degs[v] < hi]
@@ -331,15 +373,26 @@ def _connected_masks(n: int, lo: int, hi: int, bipartite_only: bool):
                         child[v] |= 1 << k
                     child.append(new_mask)
                     cdegs = [m.bit_count() for m in child]
-                    if not _prune(child, cdegs, n, lo, hi):
+                    growing = False  # can a larger target be reached?
+                    for target in targets:
+                        if _prune(child, cdegs, *target):
+                            growing = True
+                            break
+                    done = final is not None and _prune(child, cdegs, k + 1, *final)
+                    if not (growing or done):
                         continue
                     if bipartite_only and new_mask & left and new_mask & ~left:
                         continue  # the new vertex joins both sides
-                    child_gens = _canonical_child(child, cdegs, parts, k == n - 1)
-                    if child_gens is not None:
+                    child_gens = _canonical_child(child, cdegs, parts, not growing)
+                    if child_gens is None:
+                        continue
+                    if growing:
                         kept.append((tuple(child), child_gens))
+                    if done:
+                        found.append(tuple(child))
         level = kept
-    return [masks for masks, _ in level]
+        if final is not None:
+            yield k + 1, found
 
 
 def _masks_to_graph(masks) -> Graph:
@@ -354,21 +407,46 @@ def _masks_to_graph(masks) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
-def enumerate_graphs(n: int, flt: GraphClassFilter) -> Iterator[Graph]:
-    """One representative per isomorphism class of the connected n-vertex
-    graphs matching the filter, deterministic order across runs.
-    Infeasible filters yield nothing."""
+def _bounds(n: int, flt: GraphClassFilter) -> tuple[int, int] | None:
+    """The degree bounds (lo, hi) of the n-vertex graphs of ``flt``; None
+    when there are none to build: n = 0, or a regular family with n * hi
+    odd (handshake parity)."""
     if n < 0:
         raise GraphError("n must be nonnegative")
     if n == 0:
-        return
+        return None
     hi = n - 1 if flt.max_degree is None else flt.max_degree
     lo = flt.min_degree or 0
     if lo == hi and n * hi % 2:
-        return  # handshake parity
-    if n >= 2:
-        lo = max(lo, 1)
-    for masks in _connected_masks(n, lo, hi, flt.bipartite):
+        return None
+    return (max(lo, 1) if n >= 2 else lo), hi
+
+
+def enumeration_walk(flt: GraphClassFilter, sizes) -> Iterator[tuple[int, list]]:
+    """One walk of the construction tree that serves every n in ``sizes``:
+    pass it to ``enumerate_graphs`` for each of those n, in ascending order.
+    The prefixes the sizes share are built once (see ``_connected_masks``),
+    and each call builds the levels up to its own n."""
+    bounds = {n: b for n in sizes if (b := _bounds(n, flt)) is not None}
+    return _connected_masks(bounds, flt.bipartite) if bounds else iter(())
+
+
+def enumerate_graphs(n: int, flt: GraphClassFilter, walk=None) -> Iterator[Graph]:
+    """One representative per isomorphism class of the connected n-vertex
+    graphs matching the filter, deterministic order across runs.
+    Infeasible filters yield nothing.  ``walk``, from ``enumeration_walk``,
+    reads n's graphs off a walk shared with other sizes; without it the
+    tree is walked for n alone.  Both give the same graphs in the same
+    order."""
+    bounds = _bounds(n, flt)
+    if bounds is None:
+        return
+    if walk is None:
+        walk = _connected_masks({n: bounds}, flt.bipartite)
+    size, found = next(walk, (None, ()))
+    if size != n:
+        raise GraphError(f"the walk's next size is {size}, not {n}")
+    for masks in found:
         yield _masks_to_graph(masks)
 
 

@@ -17,7 +17,7 @@ from .decompose import (
     strongly_pertinent_decomposition,
 )
 from .enumerate import CUBIC, SUBCUBIC, SUBCUBIC_MIN2, GraphClassFilter
-from .enumerate import enumerate_graphs, enumerate_trees
+from .enumerate import enumerate_graphs, enumerate_trees, enumeration_walk
 from .graph import Graph, GraphError, cube_graph, json_int, write_graph6
 from .solver import (
     COLORED,
@@ -49,6 +49,9 @@ class CampaignReport:
     histogram: dict[int, int] = field(default_factory=dict)  # colors used -> count
     exceeders: list[str] = field(default_factory=list)  # graph6, sorted
     elapsed: float = 0.0
+    # wall seconds of each n level this run enumerated and classified, as
+    # timed between ``progress`` calls; in neither the JSON nor a checkpoint
+    level_seconds: dict[int, float] = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -187,7 +190,15 @@ def run_campaign(
     """Test every enumerated decomposable graph of the ``FAMILIES`` family
     named ``family`` up to n_max against the color bound.  Per-level
     checkpointing; resuming with the same parameters reproduces the same
-    final report."""
+    final report.
+
+    The levels read their graphs off one ``enumeration_walk``, which builds
+    each prefix the sizes share once, so a level's time (``progress`` and
+    ``level_seconds``) covers the tree level it adds: the prefixes of every
+    larger n on n vertices, not the whole tree of n.  A regular family
+    (min_degree == max_degree) keeps one walk per n instead: its trees for
+    different n share almost no prefix, so one walk saves little and only
+    moves each larger n's prefix work into a smaller n's level."""
     if family not in FAMILIES:
         raise GraphError(f"unknown family {family!r}")
     flt = FAMILIES[family]
@@ -214,12 +225,15 @@ def run_campaign(
     if checkpoint:
         check_output_dir(checkpoint, "checkpoint")
         start_n = _load_checkpoint(checkpoint, params, report) + 1
-    t0 = time.perf_counter()
+    sizes = range(start_n, n_max + 1)
+    regular = flt.max_degree is not None and flt.min_degree == flt.max_degree
+    walk = None if regular else enumeration_walk(flt, sizes)
+    t0 = last = time.perf_counter()
     # one pool for the whole campaign; jobs=1 classifies in this process
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         starmap = itertools.starmap if pool is None else pool.starmap
-        for n in range(start_n, n_max + 1):
-            graphs = list(enumerate_graphs(n, flt))
+        for n in sizes:
+            graphs = list(enumerate_graphs(n, flt, walk))
             tasks = [(g, bound, method, node_budget) for g in graphs]
             results = list(starmap(_classify, tasks))
             spent = [write_graph6(g) for g, (kind, _) in zip(graphs, results) if kind == "budget"]
@@ -241,6 +255,9 @@ def run_campaign(
                         report.exceeders.append(write_graph6(g))
             if checkpoint:
                 _save_checkpoint(checkpoint, params, n, report)
+            now = time.perf_counter()
+            report.level_seconds[n] = now - last
+            last = now
             if progress is not None:
                 progress(n, len(graphs))
     report.exceeders = sorted(report.exceeders)

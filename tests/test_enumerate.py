@@ -15,9 +15,10 @@ from locirr.enumerate import (
     _prune,
     enumerate_graphs,
     enumerate_trees,
+    enumeration_walk,
 )
 from locirr.graph import Graph, GraphError, canon_adjacency, write_graph6
-from locirr.harness import FAMILIES
+from locirr.harness import FAMILIES, run_campaign
 
 CONNECTED = GraphClassFilter()
 # sha256 of the cubic graph6 lines for n = 4, 6, ..., 12, newline-joined
@@ -204,7 +205,7 @@ class TestReferenceEnumerator:
             kept_from = []
             lo, hi, regular, bipartite_only = bounds(n)
             want = oracles.reference_connected_masks(n, *bounds(n), kept_from=kept_from)
-            assert _connected_masks(n, lo, hi, bipartite_only) == want, f"{name} n={n}"
+            assert list(_connected_masks({n: (lo, hi)}, bipartite_only)) == [(n, want)], f"{name} n={n}"
             # the subset sizes 2 .. top-1 the level loop skips hold no
             # child the reference keeps
             for parent, subset in kept_from:
@@ -214,6 +215,49 @@ class TestReferenceEnumerator:
                     if oracles._connected_without(parent, v)
                 )
                 assert len(subset) == 1 or len(subset) >= top, (name, parent, subset)
+
+    @pytest.mark.parametrize("name", sorted(MASK_FAMILIES))
+    def test_one_walk_for_all_sizes(self, name):
+        # one walk over every size of the family gives each n the
+        # reference's graphs, in order
+        sizes, bounds = MASK_FAMILIES[name]
+        bipartite_only = bounds(sizes[0])[3]
+        walk = _connected_masks({n: bounds(n)[:2] for n in sizes}, bipartite_only)
+        got = list(walk)
+        assert [n for n, _ in got] == list(sizes)
+        for n, found in got:
+            assert found == oracles.reference_connected_masks(n, *bounds(n)), f"{name} n={n}"
+
+    def test_campaign_walk_calls_pinned(self, monkeypatch):
+        # the subcubic-min2 n<=10 campaign reads every level off one walk:
+        # the per-n walks make 5,383 child tests and 1,410 labelings, and
+        # the one walk builds each shared prefix once
+        calls = {"child": 0, "label": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(enum_mod, "_canonical_child", counted("child", enum_mod._canonical_child))
+        monkeypatch.setattr(enum_mod, "canon_adjacency", counted("label", enum_mod.canon_adjacency))
+        report = run_campaign("subcubic-min2", 10, 3)
+        assert report.tested + sum(report.non_decomposable.values()) == 706
+        assert calls == {"child": 4_214, "label": 1_004}
+
+    def test_regular_campaign_walks_each_n(self, monkeypatch):
+        # a regular family's campaign makes exactly the per-n walks' labelings
+        calls = []
+        label = enum_mod.canon_adjacency
+        monkeypatch.setattr(enum_mod, "canon_adjacency", lambda *a: calls.append(1) or label(*a))
+        for n in range(1, 11):
+            count(n, CUBIC)
+        per_n = len(calls)
+        calls.clear()
+        run_campaign("cubic", 10, 3)
+        assert len(calls) == per_n > 0
 
     def test_canonical_child_calls_pinned(self, monkeypatch):
         # deterministic counts on cubic n=4..12; the reference order makes
@@ -342,6 +386,39 @@ class TestPrune:
         degs = [m.bit_count() for m in prefix]
         assert oracles.reference_prune(prefix, degs, n, 3, 3, True)
         assert not _prune(prefix, degs, n, 3, 3)
+
+
+class TestEnumerationWalk:
+    @pytest.mark.parametrize("name", [*FAMILIES, "bipartite", "min-degree-2"])
+    @pytest.mark.parametrize("start", [0, 1, 4])
+    def test_walk_matches_single_sizes(self, name, start):
+        # a walk from any first size, as a resumed campaign starts, gives
+        # each n the graphs of enumerate_graphs(n, flt) in the same order
+        flt = FAMILIES.get(name) or (
+            GraphClassFilter(bipartite=True) if name == "bipartite" else GraphClassFilter(min_degree=2)
+        )
+        sizes = range(start, 9 if name in ("cubic", "subcubic-min2") else 8)
+        walk = enumeration_walk(flt, sizes)
+        for n in sizes:
+            assert list(enumerate_graphs(n, flt, walk)) == list(enumerate_graphs(n, flt)), (name, n)
+        assert next(walk, None) is None
+
+    def test_sizes_out_of_order_rejected(self):
+        walk = enumeration_walk(SUBCUBIC, range(3, 7))
+        assert count(3, SUBCUBIC) == sum(1 for _ in enumerate_graphs(3, SUBCUBIC, walk))
+        with pytest.raises(GraphError, match="next size is 4, not 5"):
+            list(enumerate_graphs(5, SUBCUBIC, walk))
+
+    def test_walk_builds_levels_on_demand(self, monkeypatch):
+        # asking for n builds no level above n, so a campaign's level time
+        # covers its own tree level
+        calls = []
+        child = enum_mod._canonical_child
+        monkeypatch.setattr(enum_mod, "_canonical_child", lambda c, *a: calls.append(len(c)) or child(c, *a))
+        walk = enumeration_walk(SUBCUBIC_MIN2, range(1, 9))
+        for n in range(1, 9):
+            list(enumerate_graphs(n, SUBCUBIC_MIN2, walk))
+            assert max(calls, default=0) <= n
 
 
 class TestFilterValidation:

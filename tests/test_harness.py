@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,78 @@ class TestCampaign:
         lines = report.histogram_csv().strip().splitlines()
         assert lines[0] == "colors,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 3
+
+
+# sha256 of run_campaign(family, n_max, 3).to_json() as the per-n walks wrote it
+CAMPAIGN_SHA256 = {
+    ("subcubic", 9): "f313aea42f27e586b13824737a1193c6554ce1744ebd72c0e3f4d91d31238cb2",
+    ("subcubic-min2", 11): "1cf01514e405f9e3f97c8b1f247370248c1e70b1fcaba15341735ef5794ed7a7",
+    ("all", 7): "f60ce161eb3cdce6bc9c89f0f91c66e1965b39dc4acf70148407ab4cb397257b",
+}
+MIN2_ABORT = (
+    '{"version": 1, "params": {"family": "subcubic-min2", "n_max": 11, "bound": 3,'
+    ' "method": "exact", "filter": "GraphClassFilter(max_degree=3, min_degree=2,'
+    ' connected=True, bipartite=False)"}, "done_n": 5, "per_n": {"4": 3, "5": 3},'
+    ' "non_decomposable": {"3": 1, "5": 1}, "histogram": {"1": 1, "2": 3, "3": 2},'
+    ' "exceeders": []}'
+)
+
+
+def _sha256(report):
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+class TestOneWalk:
+    """A campaign reads every level off one enumeration walk; its reports,
+    budget aborts and checkpoints are those of one walk per n."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("family,n_max", sorted(CAMPAIGN_SHA256))
+    def test_report_unchanged(self, family, n_max, jobs):
+        assert _sha256(run_campaign(family, n_max, 3, jobs=jobs)) == CAMPAIGN_SHA256[family, n_max]
+
+    @pytest.mark.parametrize("family,n_max", sorted(CAMPAIGN_SHA256))
+    def test_resume_from_middle_level(self, family, n_max, tmp_path):
+        # progress runs after a level's checkpoint is written, so stopping
+        # there leaves a checkpoint that holds n <= 5
+        ckpt = str(tmp_path / "campaign.json")
+
+        def stop(n, count):
+            if n == 5:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(family, n_max, 3, checkpoint=ckpt, progress=stop)
+        assert json.loads(open(ckpt).read())["done_n"] == 5
+        resumed = run_campaign(family, n_max, 3, checkpoint=ckpt)
+        assert _sha256(resumed) == CAMPAIGN_SHA256[family, n_max]
+        assert sorted(resumed.level_seconds) == list(range(6, n_max + 1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_budget_abort_in_the_middle_of_a_walk(self, jobs, tmp_path):
+        ckpt = str(tmp_path / "campaign.json")
+        with pytest.raises(BudgetExhausted) as info:
+            run_campaign("subcubic-min2", 11, 3, jobs=jobs, checkpoint=ckpt, node_budget=100)
+        assert str(info.value) == (
+            "campaign aborted at n=6: node budget hit on Eqlo; checkpoint holds n<6"
+        )
+        assert open(ckpt).read() == MIN2_ABORT
+        resumed = run_campaign("subcubic-min2", 11, 3, jobs=jobs, checkpoint=ckpt)
+        assert _sha256(resumed) == CAMPAIGN_SHA256["subcubic-min2", 11]
+
+    def test_level_seconds(self, tmp_path):
+        # one entry per level, timed between progress calls; neither the
+        # JSON nor the checkpoint holds it
+        ckpt = tmp_path / "campaign.json"
+        seen = []
+        report = run_campaign(
+            "subcubic", 7, 3, checkpoint=str(ckpt), progress=lambda n, count: seen.append(n)
+        )
+        assert sorted(report.level_seconds) == seen == list(range(1, 8))
+        assert all(s >= 0 for s in report.level_seconds.values())
+        assert sum(report.level_seconds.values()) <= report.elapsed
+        assert "level_seconds" not in report.to_json()
+        assert "level_seconds" not in ckpt.read_text()
 
 
 class TestTreeSearch:
