@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Fallback telemetry for the subcubic 4-colorer.
+"""Rule telemetry for the subcubic 4-colorer.
 
 Runs the decompose-then-color pipeline over every decomposable connected
-subcubic graph up to --max-n and reports how often each extension rule fired
-and what fraction of graphs needed the exhaustive element-uniform fallback.
+subcubic graph up to --max-n and reports how often each extension rule fired.
 No threshold is enforced; the numbers are tracked against regressions.
 """
 
@@ -23,7 +22,7 @@ def main() -> int:
     args = ap.parse_args()
 
     totals = SubcubicStats()
-    graphs = fallback_graphs = 0
+    graphs = 0
     max_k = 0
     t0 = time.perf_counter()
     sizes = range(1, args.max_n + 1)
@@ -42,8 +41,6 @@ def main() -> int:
             graphs += 1
             level += 1
             max_k = max(max_k, col.k)
-            if stats.fallbacks:
-                fallback_graphs += 1
             for field in vars(stats):
                 setattr(totals, field, getattr(totals, field) + getattr(stats, field))
         print(f"n={n}: {level} decomposable graphs", file=sys.stderr)
@@ -52,9 +49,6 @@ def main() -> int:
     print(f"graphs colored: {graphs} (max colors used: {max_k}) in {elapsed:.1f}s")
     for field, value in vars(totals).items():
         print(f"  {field}: {value}")
-    frac = 1.0 if graphs == 0 else 1 - fallback_graphs / graphs
-    print(f"resolved without exhaustive fallback: {frac:.4%} "
-          f"({graphs - fallback_graphs}/{graphs})")
     return 0
 
 

@@ -7,9 +7,9 @@ decomposition (4 colors), fully subdivided multigraphs (2), balanced forests
 balanced bipartite graphs (4).  Proper edge-coloring (Vizing bound) is the
 endgame primitive.  Fully subdivided multigraphs need no search: a local
 rule colors them thread by thread (maximal walks through base vertices of
-degree 2) in one linear pass.  Everything is verified before being returned;
-when a local extension rule does not apply, the subcubic colorer falls back
-to the exhaustive element-uniform search, and the fallback is counted.
+degree 2) in one linear pass.  Everything is verified before being returned.
+The subcubic colorer runs no search: its peel-and-reinstate loop colors a
+decomposition or the colorer raises GraphError naming the graph.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 
 from .decompose import TWO_PATH, Decomposition, validate_decomposition
-from .graph import Graph, GraphError, fully_subdivide
+from .graph import Graph, GraphError, fully_subdivide, write_graph6
 from .irregularity import EdgeColoring, verify_coloring
 from .solver import (
     COLORED,
@@ -29,7 +29,6 @@ from .solver import (
     backtrack,
     _pair_rule,
     edge_order,
-    element_uniform_search,
     shared_vertices,
 )
 
@@ -469,11 +468,10 @@ def color_balanced_4(g: Graph, b: Bipartition) -> EdgeColoring:
 
 @dataclass
 class SubcubicStats:
-    """Which extension rules fired while coloring, and how often the
-    exhaustive fallback was needed."""
+    """Which extension rules fired while coloring."""
 
-    # no rule counts direct, swaps or pair_removal any more; they stay,
-    # always 0 and in this order, because the benchmark reports one
+    # nothing counts direct, swaps, pair_removal or fallbacks any more; they
+    # stay, always 0 and in this order, because the benchmark reports one
     # constructive.rule.<field> metric per field and the pipeline digest
     # hashes the fields
     free_color: int = 0
@@ -523,9 +521,9 @@ def color_subcubic_4(
     trace: list | None = None,
 ) -> EdgeColoring:
     """Element-uniform 4-coloring of a subcubic graph from a strongly
-    pertinent decomposition, by ``_color_elements``; GraphError when that
-    refutes it, which strong pertinence does not rule out (CLAW_TRAP in the
-    tests)."""
+    pertinent decomposition, by ``_color_elements``; GraphError naming the
+    graph by its graph6 line when that loop fails, which it never did on a
+    decomposition the decomposer built (see ``_build_odd_component``)."""
     if max(g.degrees, default=0) > 3:
         raise GraphError("color_subcubic_4 requires maximum degree at most 3")
     report = validate_decomposition(g, d, mode="strongly_pertinent")
@@ -533,7 +531,7 @@ def color_subcubic_4(
         raise GraphError(f"decomposition is not strongly pertinent: {report.failures[0]}")
     col = _color_elements(g, d, SubcubicStats() if stats is None else stats, trace)
     if col is None:
-        raise GraphError("element-uniform 4-coloring refuted; decomposition is not colorable")
+        raise GraphError(f"the coloring loop failed on this decomposition of {write_graph6(g)}")
     return col
 
 
@@ -541,8 +539,9 @@ def _color_elements(
     g: Graph, d: Decomposition, stats: SubcubicStats, trace: list | None = None
 ) -> EdgeColoring | None:
     """A verified element-uniform 4-coloring of the pertinent decomposition
-    ``d`` of the subcubic graph ``g``, or None when there is none.  The
-    subcubic colorer and the decomposer's check both run it.
+    ``d`` of the subcubic graph ``g``, or None when a peeled 2-path cannot
+    be reinstated.  The subcubic colorer and the decomposer's check both run
+    it; it runs no search.
 
     One iterative loop over one coloring, in two phases.  Peeling removes the
     2-path with the fewest remaining incident elements, again and again,
@@ -560,9 +559,7 @@ def _color_elements(
     order, each by the first of two rules that applies: a color free of its
     neighborhood, or recoloring one incident element.  Every rule checks
     local irregularity and the central pair rule only at the vertices of
-    the elements it changed.  When a 2-path cannot be reinstated, the
-    exhaustive element-uniform search, counted in ``stats``, decides: the
-    only element search this routine runs.
+    the elements it changed.
     """
     els = d.elements
     rule = _pair_rule(els, shared_vertices(els))  # the one pair rule table of this coloring
@@ -734,14 +731,9 @@ def _color_elements(
             paint(j, old)
         return False
 
-    if all(map(reinstate, reversed(peeled))):
-        col = EdgeColoring(tuple(color[i] for i in el_of), max(color, default=0))
-    else:
-        stats.fallbacks += 1
-        log("fallback: exhaustive element-uniform search")
-        col = element_uniform_search(g, d, 4, enforce_property_ii=True).coloring
-        if col is None:
-            return None
+    if not all(map(reinstate, reversed(peeled))):
+        return None
+    col = EdgeColoring(tuple(color[i] for i in el_of), max(color, default=0))
     _verified(g, col, "subcubic coloring")
     failures = _element_failures(els, rule, col.colors)
     if failures:

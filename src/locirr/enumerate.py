@@ -41,14 +41,14 @@ Every n gets the graphs, and the order, of a walk for n alone.  A regular
 family gains little from it: its trees for different n share almost no
 prefix (cubic n <= 12 took about 5% less time in one walk on a shared
 2-vCPU host), and one walk would move each larger n's prefix work into a
-smaller n's level.  So campaigns walk such a family once per n (see
-``harness.run_campaign``).
+smaller n's level.  So ``enumeration_walk`` chains one walk per n for such
+a family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .graph import Graph, GraphError, canon_adjacency, distance_split, equitable_partition
@@ -426,9 +426,13 @@ def enumeration_walk(flt: GraphClassFilter, sizes) -> Iterator[tuple[int, list]]
     """One walk of the construction tree that serves every n in ``sizes``:
     pass it to ``enumerate_graphs`` for each of those n, in ascending order.
     The prefixes the sizes share are built once (see ``_connected_masks``),
-    and each call builds the levels up to its own n."""
+    and each call builds the levels up to its own n.  A regular family
+    (min_degree == max_degree) gets one walk per n, chained, each started
+    when its n is asked for (see the module docstring)."""
     bounds = {n: b for n in sizes if (b := _bounds(n, flt)) is not None}
-    return _connected_masks(bounds, flt.bipartite) if bounds else iter(())
+    regular = flt.max_degree is not None and flt.min_degree == flt.max_degree
+    groups = [{n: b} for n, b in bounds.items()] if regular else [bounds]
+    return chain.from_iterable(_connected_masks(grp, flt.bipartite) for grp in groups if grp)
 
 
 def enumerate_graphs(n: int, flt: GraphClassFilter, walk=None) -> Iterator[Graph]:

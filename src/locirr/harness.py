@@ -195,10 +195,7 @@ def run_campaign(
     The levels read their graphs off one ``enumeration_walk``, which builds
     each prefix the sizes share once, so a level's time (``progress`` and
     ``level_seconds``) covers the tree level it adds: the prefixes of every
-    larger n on n vertices, not the whole tree of n.  A regular family
-    (min_degree == max_degree) keeps one walk per n instead: its trees for
-    different n share almost no prefix, so one walk saves little and only
-    moves each larger n's prefix work into a smaller n's level."""
+    larger n on n vertices, not the whole tree of n."""
     if family not in FAMILIES:
         raise GraphError(f"unknown family {family!r}")
     flt = FAMILIES[family]
@@ -226,8 +223,7 @@ def run_campaign(
         check_output_dir(checkpoint, "checkpoint")
         start_n = _load_checkpoint(checkpoint, params, report) + 1
     sizes = range(start_n, n_max + 1)
-    regular = flt.max_degree is not None and flt.min_degree == flt.max_degree
-    walk = None if regular else enumeration_walk(flt, sizes)
+    walk = enumeration_walk(flt, sizes)
     t0 = last = time.perf_counter()
     # one pool for the whole campaign; jobs=1 classifies in this process
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 
@@ -39,6 +40,7 @@ from locirr.graph import (
     parse_graph6,
     path_graph,
     star_graph,
+    write_graph6,
 )
 from locirr.irregularity import EdgeColoring, VerificationReport, verify_coloring
 from locirr.solver import COLORED, chi_irr
@@ -517,27 +519,28 @@ class TestSubcubic4:
             "recolor element 1 -> 4",
         ]
 
-    def test_fallback_colors_what_the_loop_cannot(self):
-        # a strongly pertinent decomposition where the fourth 2-path to be
-        # reinstated finds no free color and no single recoloring frees one:
-        # the exhaustive element-uniform search colors the graph instead
+    def test_loop_failure_raises_naming_the_graph(self):
+        # a hand-built strongly pertinent decomposition, which has a 4-coloring,
+        # where the fourth 2-path to be reinstated finds no free color and no
+        # single recoloring frees one: the colorer names the graph and
+        # starts no search
         g = Graph(10, (
             (0, 1), (0, 2), (0, 8), (1, 3), (1, 7), (2, 4), (2, 9),
             (3, 5), (3, 9), (4, 6), (5, 8), (7, 8), (7, 9),
         ))
         parts = ((0, 3), (1, 2), (4, 11, 12), (5, 9), (6, 8), (7, 10))
         d = Decomposition(tuple(Element.from_edges(g, p) for p in parts))
+        assert solver.element_uniform_search(g, d, 4, enforce_property_ii=True).coloring
         stats = SubcubicStats()
         trace: list[str] = []
-        col = color_subcubic_4(g, d, stats=stats, trace=trace)
-        assert verify_coloring(g, col).valid and element_properties_ok(g, d, col)[0]
-        assert (stats.fallbacks, col.k) == (1, 4)
+        with pytest.raises(GraphError, match=f"decomposition of {re.escape(write_graph6(g))}$"):
+            color_subcubic_4(g, d, stats=stats, trace=trace)
+        assert stats == SubcubicStats(free_color=3, base_cases=1)
         assert trace == [
             "base case on 1 elements",
             "free-color 2 for element 4",
             "free-color 3 for element 5",
             "free-color 4 for element 0",
-            "fallback: exhaustive element-uniform search",
         ]
 
     def test_base_case_on_many_claws(self, monkeypatch):

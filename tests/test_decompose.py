@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 
@@ -15,6 +16,7 @@ from locirr.decompose import (
     DecompositionError,
     Element,
     enumerate_two_path_decompositions,
+    non_decomposable_reason,
     pertinent_decomposition,
     strongly_pertinent_decomposition,
     two_path_decomposition,
@@ -28,6 +30,7 @@ from locirr.decompose import (
 )
 from locirr.enumerate import SUBCUBIC, enumerate_graphs
 from locirr.graph import Graph, GraphError, complete_graph, cycle_graph, path_graph, star_graph
+from locirr.irregularity import verify_coloring
 from locirr.solver import COLORED, chi_irr, element_uniform_search
 
 BULL = Graph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4)))
@@ -310,23 +313,46 @@ class TestColorabilityCheck:
 
     def test_every_even_subcubic_decomposition_colorable(self):
         # why the builder takes the spanning-tree pairing of an even
-        # component as built: no 2-path decomposition of an even-size
-        # connected subcubic graph with n <= 10 is refuted
+        # component as built: the colorer's loop colors every 2-path
+        # decomposition of an even-size connected subcubic graph with n <= 10
         checked = 0
         for n in range(1, 11):
             for g in enumerate_graphs(n, SUBCUBIC):
                 if g.m == 0 or g.m % 2:
                     continue
                 for d in enumerate_two_path_decompositions(g):
-                    assert _list_order_colorable(g, list(d.elements))
+                    assert _component_colorable(g, list(d.elements))
                     checked += 1
         assert checked == 12_005
 
+    def test_every_odd_subcubic_graph_has_a_loop_colorable_candidate(self):
+        # each decomposable odd-size connected subcubic graph with n <= 10
+        # has a candidate of its admissible claw kind that the loop colors,
+        # and the decomposer picks the first one
+        graphs = checked = failed = 0
+        for n in range(1, 11):
+            for g in enumerate_graphs(n, SUBCUBIC):
+                if g.m % 2 == 0 or non_decomposable_reason(g) is not None:
+                    continue
+                cases = next(
+                    cs
+                    for placements in (_claw_placements, _subdivided_claw_placements)
+                    if (cs := list(_claw_candidates(g, placements)))
+                )
+                colorable = [_component_colorable(g, els) for els in cases]
+                chosen = cases[colorable.index(True)]
+                d = strongly_pertinent_decomposition(g)
+                assert [el.edges for el in d.elements] == sorted(el.edges for el in chosen)
+                graphs += 1
+                checked += len(cases)
+                failed += colorable.count(False)
+        assert (graphs, checked, failed) == (1_265, 5_556, 1)
+
     def test_odd_component_is_checked(self, monkeypatch):
-        # the loop fails once, on the trap candidate, which the exhaustive
-        # search then refutes; the loop colors the second candidate
-        loops, searches = [], []
-        color, search = constructive._color_elements, constructive.element_uniform_search
+        # the loop fails once, on the trap candidate, and colors the second;
+        # no element search runs
+        loops = []
+        color = constructive._color_elements
 
         def looped(*args, **kwargs):
             col = color(*args, **kwargs)
@@ -334,15 +360,12 @@ class TestColorabilityCheck:
             return col
 
         def searched(*args, **kwargs):
-            res = search(*args, **kwargs)
-            searches.append(res.status)
-            return res
+            raise AssertionError("an element search ran")
 
         monkeypatch.setattr(constructive, "_color_elements", looped)
-        monkeypatch.setattr(constructive, "element_uniform_search", searched)
+        monkeypatch.setattr(solver, "search_groups", searched)
         strongly_pertinent_decomposition(CLAW_TRAP)
         assert loops == [False, True]
-        assert searches == [solver.REFUTED]
 
     def test_higher_degree_component_keeps_its_first_candidate(self, monkeypatch):
         # only color_subcubic_4 needs the coloring, and it takes subcubic
@@ -376,8 +399,8 @@ class TestColorabilityCheck:
     )
     def test_random_cubic_within_budget(self, n, seed, order, monkeypatch):
         # the loop decides every candidate, its base case by first fit: the
-        # engine runs no search at all, exhaustive or otherwise
-        searches, exhaustive = [], []
+        # engine runs no search at all
+        searches = []
         backtrack = solver.backtrack
 
         def counted(*args, **kwargs):
@@ -385,17 +408,72 @@ class TestColorabilityCheck:
             return backtrack(*args, **kwargs)
 
         monkeypatch.setattr(solver, "backtrack", counted)
-        monkeypatch.setattr(
-            constructive, "element_uniform_search", lambda *args, **kw: exhaustive.append(args)
-        )
         h = nx.random_regular_graph(3, n, seed=seed)
         g = Graph(n, tuple(h.edges()))
         if order == "sorted":
             g = Graph(n, tuple(sorted(g.edges)))
         d = strongly_pertinent_decomposition(g)
         assert validate_decomposition(g, d, "strongly_pertinent").valid
-        assert not exhaustive
         assert not searches
+
+
+def _two_cubic_graphs_then_a_trap() -> Graph:
+    """Two random cubic graphs on 30 vertices, then CLAW_TRAP relabeled on
+    vertices 60..67, 101 edges in this order.  The loop fails on the trap's
+    first claw candidate, which has a coloring; an exhaustive search for
+    one over the whole graph ran past 30 s."""
+    edges = [
+        (u + 30 * s, v + 30 * s)
+        for s in (0, 1)
+        for u, v in nx.random_regular_graph(3, 30, seed=s).edges()
+    ]
+    trap = ((6, 5), (5, 4), (0, 7), (3, 6), (2, 7), (6, 2), (3, 1), (3, 0), (1, 4), (1, 7), (0, 4))
+    return Graph(68, (*edges, *((u + 60, v + 60) for u, v in trap)))
+
+
+class TestNoSearch:
+    """The subcubic pipeline colors by its peel-and-reinstate loop alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_element_search(self, monkeypatch):
+        def searched(*args, **kwargs):
+            raise AssertionError("an element search ran")
+
+        monkeypatch.setattr(solver, "search_groups", searched)
+
+    def pipeline(self, g):
+        d = strongly_pertinent_decomposition(g)
+        col = constructive.color_subcubic_4(g, d)
+        assert col.k <= 4 and verify_coloring(g, col).valid
+        assert constructive.element_properties_ok(g, d, col)[0]
+
+    def test_two_cubic_graphs_then_a_trap(self):
+        g = _two_cubic_graphs_then_a_trap()
+        assert g.m == 101
+        start = time.perf_counter()
+        self.pipeline(g)
+        assert time.perf_counter() - start < 1
+
+    def test_relabeled_traps(self):
+        # 11 of these 200 have a colorable candidate that the loop fails on
+        # before the first one it colors
+        rng = random.Random(0)
+        start = time.perf_counter()
+        for _ in range(200):
+            perm = rng.sample(range(8), 8)
+            edges = [(perm[u], perm[v]) for u, v in CLAW_TRAP.edges]
+            rng.shuffle(edges)
+            self.pipeline(Graph(8, tuple(edges)))
+        assert time.perf_counter() - start < 1
+
+    def test_subcubic_corpus(self, subcubic_small):
+        colored = 0
+        for g in [*subcubic_small, CLAW_TRAP, _two_cubic_graphs_then_a_trap()]:
+            if g.m == 0 or non_decomposable_reason(g) is not None:
+                continue
+            self.pipeline(g)
+            colored += 1
+        assert colored == 295
 
 
 def test_decompose_at_ten_thousand_edges():
